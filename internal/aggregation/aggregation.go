@@ -655,22 +655,13 @@ func (d *Driver) Merge(ps []Partial, onFinal func(Final)) {
 		return
 	}
 	d.red.Merge(ps)
+	d.observeReplicas(ps)
 	d.ws = d.ws[:0]
-	// One lock for the whole slab: per-partial lock/unlock is measurable
-	// on planes where every partial arrives uncombined.
-	d.repMu.Lock()
 	for i := range ps {
-		// Combined partials (Worker < 0) merged away their worker identity;
-		// the engine already observed each constituent (window, key, worker)
-		// triple at the bolt via ShardedDriver.ObserveReplica.
-		if ps[i].Worker >= 0 {
-			d.reps.Observe(WindowKeyID(ps[i].Window, ps[i].Digest), int(ps[i].Worker))
-		}
 		if i == 0 || ps[i].Window != ps[i-1].Window {
 			d.ws = append(d.ws, ps[i].Window)
 		}
 	}
-	d.repMu.Unlock()
 	for _, w := range d.ws {
 		if exp, final := d.expected(w); final && d.red.WindowTotal(w) >= exp {
 			d.emit(d.red.CloseWindow(w, d.finals[:0]), onFinal)
@@ -708,6 +699,23 @@ func (d *Driver) emit(fs []Final, onFinal func(Final)) {
 func (d *Driver) observeReplica(id uint64, worker int) {
 	d.repMu.Lock()
 	d.reps.Observe(id, worker)
+	d.repMu.Unlock()
+}
+
+// observeReplicas records the (window, key, worker) triple of every
+// uncombined partial in ps. One lock for the whole slab: per-partial
+// lock/unlock is measurable on planes where every partial arrives
+// uncombined.
+func (d *Driver) observeReplicas(ps []Partial) {
+	d.repMu.Lock()
+	for i := range ps {
+		// Combined partials (Worker < 0) merged away their worker
+		// identity; the engine observed each constituent triple before
+		// merging (ShardedDriver.ObserveReplica/ObserveReplicas).
+		if ps[i].Worker >= 0 {
+			d.reps.Observe(WindowKeyID(ps[i].Window, ps[i].Digest), int(ps[i].Worker))
+		}
+	}
 	d.repMu.Unlock()
 }
 

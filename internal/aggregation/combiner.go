@@ -23,10 +23,11 @@ package aggregation
 //   - Replication accounting: merging erases worker identity, so a
 //     combined partial carries Worker = CombinedWorker and is skipped
 //     by the Driver's replica observation. The engines instead observe
-//     each ORIGINAL (window, key, worker) triple at the bolt, via
-//     ShardedDriver.ObserveReplica, before the partial enters the tree
-//     — same triples as the unchanged dataplane, so measured
-//     replication factors are bit-equal across dataplanes.
+//     each ORIGINAL (window, key, worker) triple before the partial is
+//     merged — at the bolt (ShardedDriver.ObserveReplica) on the ring
+//     plane, on receipt at the shard root (ObserveReplicas) on the
+//     transport plane — same triples as the unchanged dataplane, so
+//     measured replication factors are bit-equal across dataplanes.
 //
 // CombineTable is the interior tree node (opportunistic merge, no
 // completeness knowledge); Combiner is the per-shard root, which also

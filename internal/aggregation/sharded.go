@@ -215,15 +215,25 @@ func (sd *ShardedDriver) expectedFor(w int64, shard int) (int64, bool) {
 }
 
 // ObserveReplica records one (window, key, worker) state triple toward
-// shard `shard`'s exact replication accounting. The combiner tree calls
-// it — at the BOLT, before a partial enters the tree and its worker
-// identity is merged away — once per flushed partial; the combined
+// shard `shard`'s exact replication accounting. The ring plane's
+// combiner tree calls it — at the BOLT, before a partial enters the
+// tree and its worker identity is merged away — once per flushed
+// partial (the transport plane uses ObserveReplicas); the combined
 // partials that later reach the driver carry Worker = CombinedWorker
 // and are skipped by Merge's own observation, so each triple is counted
 // through exactly one path. Thread-safe: bolts observe concurrently
 // with the shard goroutine closing windows.
 func (sd *ShardedDriver) ObserveReplica(shard int, window int64, dg KeyDigest, worker int32) {
 	sd.drivers[shard].observeReplica(WindowKeyID(window, dg), int(worker))
+}
+
+// ObserveReplicas is the batched form of ObserveReplica for a slab of
+// raw partials bound for shard `shard`: one lock for the whole slab.
+// Partials with Worker < 0 (already combined) are skipped. The
+// transport plane's shard roots call it on each received slab, reading
+// each triple's worker from the partial the wire carried.
+func (sd *ShardedDriver) ObserveReplicas(shard int, ps []Partial) {
+	sd.drivers[shard].observeReplicas(ps)
 }
 
 // Merge splits a flushed slab by digest shard and folds each piece into

@@ -29,9 +29,15 @@ import (
 //
 // Two transport legs ride along: mem-transport (the same topology over
 // internal/transport memory links) and tcp-transport (loopback TCP with
-// batched varint framing). The memory leg is the tentpole's overhead
-// budget — it must stay within ~5% of the direct ring plane in the raw
-// regime; the TCP leg prices leaving the process.
+// batched varint framing). Their shard roots combine partials like the
+// ring plane's, without the interior tree nodes. The TCP leg prices
+// leaving the process.
+//
+// Each leg also reports merged partials per final (Agg.Partials /
+// Agg.Finals): the replication factor on the channel plane, exactly 1
+// wherever a completeness-buffered combiner root feeds the reducers.
+// It is deterministic, so the combiner's cut reads as a number in the
+// artifact.
 //
 // When SLB_BENCH_DIR is set, the run writes the measured table as
 // BENCH_pipeline_throughput.json — the engine's entry in the CI perf
@@ -63,6 +69,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	}
 
 	rate := make(map[string]float64)
+	perFinal := make(map[string]float64) // merged partials per final
 	for _, reg := range regimes {
 		for _, plane := range planes {
 			b.Run(reg.name+"/"+plane.name, func(b *testing.B) {
@@ -80,15 +87,20 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
+				var res Result
 				for i := 0; i < b.N; i++ {
-					if _, err := Run(workload.NewZipf(1.4, reg.keys, reg.msgs, 17), cfg); err != nil {
+					var err error
+					if res, err = Run(workload.NewZipf(1.4, reg.keys, reg.msgs, 17), cfg); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.StopTimer()
 				mps := float64(reg.msgs) * float64(b.N) / b.Elapsed().Seconds()
 				b.ReportMetric(mps, "msgs/s")
+				ppf := float64(res.Agg.Partials) / float64(res.Agg.Finals)
+				b.ReportMetric(ppf, "partials/final")
 				rate[reg.name+"/"+plane.name] = mps
+				perFinal[reg.name+"/"+plane.name] = ppf
 			})
 		}
 	}
@@ -96,7 +108,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	if dir := os.Getenv("SLB_BENCH_DIR"); dir != "" {
 		tab := &texttab.Table{
 			Title:   "pipeline throughput: channel vs ring vs transport (W-C, R=4, z=1.4)",
-			Columns: []string{"regime", "dataplane", "msgs/s", "speedup"},
+			Columns: []string{"regime", "dataplane", "msgs/s", "speedup", "partials/final"},
 		}
 		for _, reg := range regimes {
 			base := rate[reg.name+"/channel"]
@@ -110,6 +122,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 					plane.name,
 					fmt.Sprintf("%.0f", mps),
 					fmt.Sprintf("%.2fx", mps/base),
+					fmt.Sprintf("%.3f", perFinal[reg.name+"/"+plane.name]),
 				})
 			}
 		}

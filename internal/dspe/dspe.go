@@ -260,11 +260,13 @@ type Result struct {
 	// once — window close is exact, not approximate).
 	AggTotal int64
 	// AggBoltPartials is the number of partials the bolts flushed: the
-	// worker-side aggregation output. Under DataplaneChannel the reduce
-	// stage merges exactly these (Agg.Partials == AggBoltPartials);
-	// under DataplaneRing the combiner tree pre-merges them, so
-	// Agg.Partials — what the reducers actually merged — is strictly
-	// smaller whenever replication gives the tree anything to combine.
+	// worker-side aggregation output. Under DataplaneChannel with
+	// TransportDirect the reduce stage merges exactly these
+	// (Agg.Partials == AggBoltPartials). Under DataplaneRing and on
+	// either transport backend a per-shard combiner root pre-merges
+	// them, so the reducers merge one partial per (window, key)
+	// (Agg.Partials == Agg.Finals), strictly fewer than AggBoltPartials
+	// whenever replication gives the root anything to combine.
 	AggBoltPartials int64
 }
 

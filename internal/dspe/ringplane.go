@@ -605,83 +605,18 @@ func combineNode(m aggregation.Merger, ins []*ring.SPSC[aggregation.Partial], ou
 	out.Close()
 }
 
-// shardRoot is shard r's reduce goroutine: the combiner-tree root. It
-// drains its input rings into a completeness-aware Combiner, hands the
-// shard's driver each window the moment it is provably complete, and
-// closes the shard at end of stream. The simulated per-partial merge
-// cost (Config.AggMergeCost) is charged per combined partial the driver
-// merges — the shard hop's actual traffic — using the same ≥ 1 ms
-// debt-settling discipline as the channel plane. Returns the busy time
-// (folding, flushing, merging) for the utilization report.
+// shardRoot is shard r's reduce goroutine on the ring plane: the
+// combiner-tree root loop (combineRoot) over its input rings.
 func shardRoot(cfg Config, sd *aggregation.ShardedDriver, r int, ins []*ring.SPSC[aggregation.Partial], onFinal func(aggregation.Final), pt *planeTelemetry) time.Duration {
-	comb := aggregation.NewCombiner(sd, r)
-	drained := make([]bool, len(ins))
-	remaining := len(ins)
-	var busy time.Duration
-	var debt time.Duration
-	var charged int64   // combined partials already charged to the debt
-	var published int64 // combined partials already published to telemetry
-	settle := func(threshold time.Duration) {
-		if cfg.AggMergeCost > 0 {
-			if d := comb.Out() - charged; d > 0 {
-				debt += cfg.AggMergeCost * time.Duration(d)
-				charged = comb.Out()
-			}
+	return combineRoot(cfg, sd, r, len(ins), func(i int, comb *aggregation.Combiner) (int, bool) {
+		a := ins[i].Acquire(256)
+		if a == nil {
+			return 0, ins[i].Drained()
 		}
-		if debt > threshold {
-			s0 := time.Now()
-			simulateWork(debt, cfg.Spin)
-			debt -= time.Since(s0)
+		for j := range a {
+			comb.Fold(&a[j])
 		}
-	}
-	spins := 0
-	for remaining > 0 {
-		progressed := false
-		for i, q := range ins {
-			if drained[i] {
-				continue
-			}
-			a := q.Acquire(256)
-			if a == nil {
-				if q.Drained() {
-					drained[i] = true
-					remaining--
-					progressed = true
-				}
-				continue
-			}
-			t0 := time.Now()
-			for j := range a {
-				comb.Fold(&a[j])
-			}
-			q.Release(len(a))
-			d := time.Since(t0)
-			busy += d
-			pt.addReduce(r, 0, d)
-			progressed = true
-		}
-		if !progressed {
-			backoff(&spins)
-			continue
-		}
-		spins = 0
-		t0 := time.Now()
-		comb.FlushComplete(onFinal)
-		settle(time.Millisecond)
-		d := time.Since(t0)
-		busy += d
-		// Published partial count follows what the DRIVER merged
-		// (comb.Out() — combined partials past the root's pre-merge), so
-		// reduce_partials_total/bolt_partials_total is the tree's
-		// end-to-end pre-merge ratio.
-		pt.addReduce(r, int(comb.Out()-published), d)
-		published = comb.Out()
-	}
-	t0 := time.Now()
-	comb.Finish(onFinal)
-	settle(0)
-	d := time.Since(t0)
-	busy += d
-	pt.addReduce(r, int(comb.Out()-published), d)
-	return busy
+		ins[i].Release(len(a))
+		return len(a), false
+	}, onFinal, pt)
 }

@@ -20,19 +20,23 @@ package dspe
 //	                             current in-flight ack window (grows
 //	                             adaptively over TCP when Config.Window
 //	                             was left at its default)
-//	publish_stall_ns_total       per spout, ring plane: blocked
-//	                             publishing into a full tuple ring
+//	publish_stall_ns_total       per spout: ring plane, blocked
+//	                             publishing into a full tuple ring;
+//	                             transport plane, backed off on a full
+//	                             granting link plus time inside SendSlab
+//	                             (frame encode and buffer waits over TCP)
 //	queue_depth                  per worker gauge: channel plane in tuple
 //	                             SLABS (len of the bolt's channel), ring
 //	                             plane in TUPLES (sum of its rings' Len)
 //	bolt_msgs_total              per worker: tuples processed
-//	acquire_stall_ns_total       per worker, ring plane: fruitless-poll
-//	                             backoff time (input starvation)
+//	acquire_stall_ns_total       per worker, ring and transport planes:
+//	                             fruitless-poll backoff time (input
+//	                             starvation)
 //	bolt_partials_total          partials flushed by all bolts
 //	reduce_partials_total        per shard: partials the reducer merged —
 //	                             reduce_partials/bolt_partials is the
-//	                             combiner tree's pre-merge ratio (1 on
-//	                             the channel plane by construction)
+//	                             combiner's pre-merge ratio (1 on the
+//	                             channel plane by construction)
 //	reduce_busy_ns_total         per shard: reducer goroutine busy time
 //	reduce_open_windows          per shard gauge: open windows
 //	reduce_live_entries          per shard gauge: live (window, key) rows
@@ -67,9 +71,9 @@ type planeTelemetry struct {
 	recs         []*core.RouteRecorder // per spout
 	ackWait      []*telemetry.Counter  // per spout
 	ackWindow    []*telemetry.Gauge    // per spout (transport plane)
-	publishStall []*telemetry.Counter  // per spout (ring plane)
+	publishStall []*telemetry.Counter  // per spout (ring and transport planes)
 	boltMsgs     []*telemetry.Counter  // per worker
-	acquireStall []*telemetry.Counter  // per worker (ring plane)
+	acquireStall []*telemetry.Counter  // per worker (ring and transport planes)
 	boltPartials *telemetry.Counter
 	reduceParts  []*telemetry.Counter // per shard
 	reduceBusy   []*telemetry.Counter // per shard

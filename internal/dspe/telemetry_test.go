@@ -31,14 +31,24 @@ func telemetryCfg(algo string, plane Dataplane) Config {
 }
 
 // TestTelemetryBothPlanes runs the aggregating topology on each
-// dataplane with a registry attached and checks every layer fed it:
-// routing, data plane, bolts, and the sharded reduce stage.
+// dataplane, and over both transport backends, with a registry
+// attached and checks every layer fed it: routing, data plane, bolts,
+// and the sharded reduce stage.
 func TestTelemetryBothPlanes(t *testing.T) {
 	const msgs = 6000
-	for _, plane := range []Dataplane{DataplaneChannel, DataplaneRing} {
-		name := planeName(plane)
-		t.Run(name, func(t *testing.T) {
-			cfg := telemetryCfg("W-C", plane)
+	for _, tc := range []struct {
+		name  string
+		plane Dataplane
+		tr    Transport
+	}{
+		{planeName(DataplaneChannel), DataplaneChannel, TransportDirect},
+		{planeName(DataplaneRing), DataplaneRing, TransportDirect},
+		{"mem-transport", DataplaneChannel, TransportMemory},
+		{"tcp-transport", DataplaneChannel, TransportTCP},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := telemetryCfg("W-C", tc.plane)
+			cfg.Transport = tc.tr
 			res, err := Run(zipfGen(1.2, 300, msgs), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -59,9 +69,21 @@ func TestTelemetryBothPlanes(t *testing.T) {
 			if v, n := sumSeries(snap, "bolt_msgs_total"); int64(v) != res.Completed || n != cfg.Workers {
 				t.Fatalf("bolt_msgs_total = %v over %d series, want %d over %d", v, n, res.Completed, cfg.Workers)
 			}
-			// Queue-depth gauges registered per worker (0 after drain).
-			if _, n := sumSeries(snap, "queue_depth"); n != cfg.Workers {
-				t.Fatalf("queue_depth series = %d, want %d", n, cfg.Workers)
+			if tc.tr == TransportDirect {
+				// Queue-depth gauges registered per worker (0 after drain).
+				if _, n := sumSeries(snap, "queue_depth"); n != cfg.Workers {
+					t.Fatalf("queue_depth series = %d, want %d", n, cfg.Workers)
+				}
+			} else {
+				// Publish stalls per spout; every TCP publish goes through
+				// SendSlab, which is clocked.
+				stall, n := sumSeries(snap, "publish_stall_ns_total")
+				if n != cfg.Sources {
+					t.Fatalf("publish_stall_ns_total series = %d, want %d", n, cfg.Sources)
+				}
+				if tc.tr == TransportTCP && stall <= 0 {
+					t.Fatal("publish_stall_ns_total not populated over TCP")
+				}
 			}
 			// Aggregation: bolts flushed what the result says they did, and
 			// the reducer-side counters expose the pre-merge ratio.
@@ -75,8 +97,12 @@ func TestTelemetryBothPlanes(t *testing.T) {
 			if int64(reduced) != res.Agg.Partials {
 				t.Fatalf("reduce_partials_total = %v, result merged %d", reduced, res.Agg.Partials)
 			}
-			if plane == DataplaneRing && reduced > float64(res.AggBoltPartials) {
+			if tc.plane == DataplaneRing && reduced > float64(res.AggBoltPartials) {
 				t.Fatalf("combiner tree cannot amplify: reduced %v > flushed %d", reduced, res.AggBoltPartials)
+			}
+			if tc.tr != TransportDirect && res.Agg.Partials != res.Agg.Finals {
+				t.Fatalf("reducers merged %d partials for %d finals (combiner root must merge one per final)",
+					res.Agg.Partials, res.Agg.Finals)
 			}
 			if v, n := sumSeries(snap, "reduce_busy_ns_total"); v <= 0 || n != cfg.AggShards {
 				t.Fatalf("reduce_busy_ns_total = %v over %d series", v, n)

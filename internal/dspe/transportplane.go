@@ -22,12 +22,17 @@ import (
 // socket through the varint frame codec, which is what makes the
 // network's cost measurable against the in-process planes.
 //
-// Aggregation follows the CHANNEL plane's semantics: bolt partials
-// travel to the reducer shards with their worker identity intact (no
-// combiner tree), the shards merge via ShardedDriver.MergeShard, and
-// replication is observed driver-side. Finals and replication are
-// therefore bit-equal to both in-process planes at Sources=1 — pinned
-// by TestTransportPlaneParity.
+// Aggregation runs through a combiner ROOT per reducer shard (the
+// ring plane's shard root, without its interior fan-in nodes): bolt
+// partials travel to the shards with their worker identity intact on
+// the wire, each shard records every slab's (window, key, worker)
+// replica triples on receipt, folds the partials into an
+// aggregation.Combiner, and hands its driver each window once it is
+// complete — so the driver merges exactly one combined partial per
+// (window, key) instead of one per (window, key, worker), and the
+// merge cost drops from the replication factor to 1. Bolts keep no
+// driver state. Finals and replication are bit-equal to both
+// in-process planes at Sources=1, pinned by TestTransportPlaneParity.
 //
 // Control stays in-process by design: the per-source in-flight window
 // (ack semantics) is the ring plane's padded atomic counter, and
@@ -198,72 +203,35 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 			reduceWG.Add(1)
 			go func(r int) {
 				defer reduceWG.Done()
-				// Per-bolt receive legs of this shard; drained like the
-				// ring plane's root. The merge cost is settled as debt in
-				// ≥ 1 ms chunks (see the channel plane for why).
-				var debt time.Duration
-				settle := func(threshold time.Duration) {
-					if debt > threshold {
-						s0 := time.Now()
-						simulateWork(debt, cfg.Spin)
-						debt -= time.Since(s0)
-					}
-				}
+				// One receive leg per bolt. Each slab's partials are
+				// rebuilt with the worker id they carried on the wire,
+				// their replica triples recorded (one lock per slab), and
+				// then folded into the shard's combiner root.
 				buf := make([]transport.Msg, 256)
-				slab := make([]aggregation.Partial, 0, 256)
-				drained := make([]bool, cfg.Workers)
-				remaining := cfg.Workers
-				spins := 0
-				for remaining > 0 {
-					progressed := false
-					for w := 0; w < cfg.Workers; w++ {
-						if drained[w] {
-							continue
-						}
-						n, done := boltOut[w][r].RecvSlab(buf)
-						if n == 0 {
-							if done {
-								drained[w] = true
-								remaining--
-								progressed = true
-							}
-							continue
-						}
-						progressed = true
-						slab = slab[:0]
-						for i := 0; i < n; i++ {
-							m := &buf[i]
-							slab = append(slab, aggregation.Partial{
-								Window: m.Window,
-								Digest: aggregation.KeyDigest(m.Dig),
-								Key:    m.Key,
-								Count:  m.Weight,
-								Val:    aggregation.Value{m.Val0, m.Val1},
-								Worker: m.Src,
-							})
-						}
-						t0 := time.Now()
-						if cfg.AggMergeCost > 0 {
-							debt += cfg.AggMergeCost * time.Duration(len(slab))
-							settle(time.Millisecond)
-						}
-						sd.MergeShard(r, slab, onFinal)
-						d := time.Since(t0)
-						reduceBusy[r] += d
-						pt.addReduce(r, len(slab), d)
+				slab := make([]aggregation.Partial, 0, len(buf))
+				reduceBusy[r] = combineRoot(cfg, sd, r, cfg.Workers, func(w int, comb *aggregation.Combiner) (int, bool) {
+					n, done := boltOut[w][r].RecvSlab(buf)
+					if n == 0 {
+						return 0, done
 					}
-					if progressed {
-						spins = 0
-					} else {
-						backoff(&spins)
+					slab = slab[:0]
+					for i := range buf[:n] {
+						m := &buf[i]
+						slab = append(slab, aggregation.Partial{
+							Window: m.Window,
+							Digest: aggregation.KeyDigest(m.Dig),
+							Key:    m.Key,
+							Count:  m.Weight,
+							Val:    aggregation.Value{m.Val0, m.Val1},
+							Worker: m.Src,
+						})
 					}
-				}
-				t0 := time.Now()
-				settle(0)
-				sd.FinishShard(r, onFinal)
-				d := time.Since(t0)
-				reduceBusy[r] += d
-				pt.addReduce(r, 0, d)
+					sd.ObserveReplicas(r, slab)
+					for i := range slab {
+						comb.Fold(&slab[i])
+					}
+					return n, false
+				}, onFinal, pt)
 			}(r)
 		}
 	}
@@ -511,6 +479,11 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 					pt.recordRoute(s, p, n, time.Since(t0))
 				}
 				now := time.Now().UnixNano()
+				// stall is the time spent publishing the slab: backed off
+				// on a full granting link, or inside SendSlab (over TCP the
+				// frame encode plus any wait for a free coalescing
+				// buffer). Clocked only with telemetry on.
+				var stall time.Duration
 				for i := 0; i < n; i++ {
 					tp := tuple{key: keys[i], src: int32(s)}
 					if agg {
@@ -550,7 +523,13 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 							if failed() {
 								break
 							}
-							backoff(&gspins)
+							if pt != nil {
+								t0 := time.Now()
+								backoff(&gspins)
+								stall += time.Since(t0)
+							} else {
+								backoff(&gspins)
+							}
 						}
 						if open[w] == nil {
 							break
@@ -565,12 +544,20 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 						open[w], used[w] = nil, 0
 					}
 					if len(pend[w]) > 0 {
+						var t0 time.Time
+						if pt != nil {
+							t0 = time.Now()
+						}
 						if err := in[s][w].SendSlab(pend[w]); err != nil {
 							fail(err)
+						}
+						if pt != nil {
+							stall += time.Since(t0)
 						}
 						pend[w] = pend[w][:0]
 					}
 				}
+				pt.addPublishStall(s, stall)
 			}
 		}(s)
 	}
@@ -635,4 +622,79 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 	}
 	gen.Reset()
 	return res, nil
+}
+
+// combineRoot is shard r's reduce loop, shared by the ring and
+// transport planes: the root of the shard's combiner tree. recv polls
+// input leg i (0 ≤ i < legs), folds whatever the leg has ready into
+// comb and returns how many partials it folded, or 0 and whether the
+// leg is drained for good. After every productive sweep the root hands
+// the shard's driver each window the moment it is provably complete, so
+// the driver merges exactly one combined partial per (window, key); at
+// end of stream it flushes the remainder and closes the shard. The
+// simulated per-partial merge cost (Config.AggMergeCost) is charged per
+// combined partial the driver merges — the shard hop's actual traffic —
+// and settled as debt in ≥ 1 ms chunks (see the channel plane for why).
+// Returns the busy time (receiving, folding, flushing, merging) for the
+// utilization report.
+func combineRoot(cfg Config, sd *aggregation.ShardedDriver, r, legs int, recv func(i int, comb *aggregation.Combiner) (n int, done bool), onFinal func(aggregation.Final), pt *planeTelemetry) time.Duration {
+	comb := aggregation.NewCombiner(sd, r)
+	drained := make([]bool, legs)
+	remaining := legs
+	var busy, debt time.Duration
+	var charged int64   // combined partials already charged to the debt
+	var published int64 // combined partials already published to telemetry
+	settle := func(threshold time.Duration) {
+		if cfg.AggMergeCost > 0 {
+			if d := comb.Out() - charged; d > 0 {
+				debt += cfg.AggMergeCost * time.Duration(d)
+				charged = comb.Out()
+			}
+		}
+		if debt > threshold {
+			s0 := time.Now()
+			simulateWork(debt, cfg.Spin)
+			debt -= time.Since(s0)
+		}
+	}
+	// account books one busy stretch. The published partial count
+	// follows what the DRIVER merged (comb.Out()), so
+	// reduce_partials_total/bolt_partials_total is the combiner's
+	// end-to-end pre-merge ratio.
+	account := func(t0 time.Time) {
+		d := time.Since(t0)
+		busy += d
+		pt.addReduce(r, int(comb.Out()-published), d)
+		published = comb.Out()
+	}
+	spins := 0
+	for remaining > 0 {
+		t0 := time.Now()
+		progressed := false
+		for i := 0; i < legs; i++ {
+			if drained[i] {
+				continue
+			}
+			if n, done := recv(i, comb); n > 0 {
+				progressed = true
+			} else if done {
+				drained[i] = true
+				remaining--
+				progressed = true
+			}
+		}
+		if !progressed {
+			backoff(&spins)
+			continue
+		}
+		spins = 0
+		comb.FlushComplete(onFinal)
+		settle(time.Millisecond)
+		account(t0)
+	}
+	t0 := time.Now()
+	comb.Finish(onFinal)
+	settle(0)
+	account(t0)
+	return busy
 }

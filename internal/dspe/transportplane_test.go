@@ -13,7 +13,8 @@ import (
 // must produce bit-equal finals AND bit-equal replication factors to
 // the direct channel dataplane. Replication is compared with a single
 // source, where routing — and therefore the (window, key, worker)
-// triples — is deterministic.
+// triples — is deterministic. The shard roots' combiner cut is pinned
+// too: one merged partial per (window, key).
 func TestTransportPlaneParity(t *testing.T) {
 	for _, algo := range []string{"KG", "W-C"} {
 		for _, shards := range []int{1, 3} {
@@ -52,10 +53,16 @@ func TestTransportPlaneParity(t *testing.T) {
 					if res.Completed != 20_000 || res.AggTotal != 20_000 {
 						t.Errorf("%s: completed/total: %d/%d, want 20000/20000", tp.name, res.Completed, res.AggTotal)
 					}
-					// No combiner tree on the transport plane: reducers merge
-					// exactly what the bolts flushed, like the channel plane.
-					if res.Agg.Partials != res.AggBoltPartials {
-						t.Errorf("%s: reducers merged %d partials, bolts flushed %d (must be equal)",
+					// The shard roots buffer to window completeness, so each
+					// driver merges exactly one combined partial per
+					// (window, key); with replication > 1 that is strictly
+					// fewer than the bolts flushed.
+					if res.Agg.Partials != res.Agg.Finals {
+						t.Errorf("%s: reducers merged %d partials for %d finals (must be equal)",
+							tp.name, res.Agg.Partials, res.Agg.Finals)
+					}
+					if algo == "W-C" && res.Agg.Partials >= res.AggBoltPartials {
+						t.Errorf("%s: reducers merged %d partials, bolts flushed %d (combiner root must cut)",
 							tp.name, res.Agg.Partials, res.AggBoltPartials)
 					}
 				}
@@ -183,6 +190,12 @@ func TestTransportPlaneFaultParity(t *testing.T) {
 					}
 					if res.Completed != 12_000 || res.AggTotal != 12_000 {
 						t.Errorf("completed/total: %d/%d, want 12000/12000", res.Completed, res.AggTotal)
+					}
+					// Resends and receive-edge dedup must not disturb the
+					// root: still one merged partial per (window, key).
+					if res.Agg.Partials != res.Agg.Finals {
+						t.Errorf("reducers merged %d partials for %d finals (must be equal)",
+							res.Agg.Partials, res.Agg.Finals)
 					}
 
 					// The run must actually have suffered the schedule: every

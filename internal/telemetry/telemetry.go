@@ -228,10 +228,11 @@ func seriesID(name string, labels []Label) (string, []Label) {
 	return b.String(), ls
 }
 
+// lookup returns the series for (name, labels), creating it on first
+// use. The caller holds r.mu and sets the new series' handle before
+// releasing it, so Snapshot never sees a series without one.
 func (r *Registry) lookup(name string, labels []Label, kind Kind) *series {
 	id, ls := seriesID(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if s, ok := r.byID[id]; ok {
 		if s.kind != kind {
 			panic(fmt.Sprintf("telemetry: %s registered as %s, requested as %s", id, s.kind, kind))
@@ -247,9 +248,9 @@ func (r *Registry) lookup(name string, labels []Label, kind Kind) *series {
 // Counter returns the counter for (name, labels), creating it on first
 // use. The same arguments always return the same handle.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	s := r.lookup(name, labels, KindCounter)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.lookup(name, labels, KindCounter)
 	if s.counter == nil {
 		s.counter = &Counter{}
 	}
@@ -258,9 +259,9 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 
 // Gauge returns the gauge for (name, labels), creating it on first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	s := r.lookup(name, labels, KindGauge)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.lookup(name, labels, KindGauge)
 	if s.fn != nil {
 		panic("telemetry: " + name + " already registered as GaugeFunc")
 	}
@@ -279,9 +280,9 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	if fn == nil {
 		panic("telemetry: nil GaugeFunc for " + name)
 	}
-	s := r.lookup(name, labels, KindGauge)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.lookup(name, labels, KindGauge)
 	if s.gauge != nil {
 		panic("telemetry: " + name + " already registered as Gauge")
 	}
@@ -300,9 +301,9 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 			panic("telemetry: histogram " + name + " bounds not strictly ascending")
 		}
 	}
-	s := r.lookup(name, labels, KindHistogram)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.lookup(name, labels, KindHistogram)
 	if s.hist == nil {
 		b := make([]float64, len(bounds))
 		copy(b, bounds)
@@ -436,13 +437,18 @@ type Snapshot struct {
 // with hot-path writers; GaugeFunc collectors run on the snapshotting
 // goroutine.
 func (r *Registry) Snapshot() Snapshot {
+	// Copy the series under the lock: handles are set at registration
+	// and a GaugeFunc may be re-bound by a later run.
 	r.mu.Lock()
-	ord := make([]*series, len(r.ord))
-	copy(ord, r.ord)
+	ord := make([]series, len(r.ord))
+	for i, s := range r.ord {
+		ord[i] = *s
+	}
 	r.mu.Unlock()
 
 	snap := Snapshot{Metrics: make([]Metric, 0, len(ord))}
-	for _, s := range ord {
+	for i := range ord {
+		s := &ord[i]
 		m := Metric{Name: s.name, Labels: s.labels, Kind: s.kind.String()}
 		switch s.kind {
 		case KindCounter:

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -204,6 +205,66 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	if bucketTotal != m.Count {
 		t.Fatalf("bucket total %d != count %d", bucketTotal, m.Count)
+	}
+}
+
+// TestRegisterDuringSnapshot registers fresh series of every kind from
+// several goroutines while another snapshots in a loop: a snapshot must
+// never observe a series whose handle is not yet set, nor race a
+// GaugeFunc being re-bound. Run under -race in CI.
+func TestRegisterDuringSnapshot(t *testing.T) {
+	const (
+		goroutines = 4
+		perG       = 500
+	)
+	r := NewRegistry()
+	stop := make(chan struct{})
+	var snapWG sync.WaitGroup
+	snapWG.Add(1)
+	go func() {
+		defer snapWG.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Snapshot()
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for j := 0; j < perG; j++ {
+				l := L("id", strconv.Itoa(id*perG+j))
+				r.Counter("reg_counter", l).Inc()
+				r.Gauge("reg_gauge", l).Set(float64(j))
+				v := float64(j)
+				r.GaugeFunc("reg_fn", func() float64 { return v }, l)
+				// Re-bind a shared collector while snapshots read it.
+				r.GaugeFunc("reg_fn_shared", func() float64 { return v })
+				r.Histogram("reg_hist", LinearBuckets(1, 1, 4), l).Observe(v)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	snapWG.Wait()
+
+	s := r.Snapshot()
+	for _, name := range []string{"reg_counter", "reg_gauge", "reg_fn", "reg_hist"} {
+		n := 0
+		for _, m := range s.Metrics {
+			if m.Name == name {
+				n++
+			}
+		}
+		if n != goroutines*perG {
+			t.Errorf("%s: %d series, want %d", name, n, goroutines*perG)
+		}
 	}
 }
 

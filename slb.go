@@ -150,7 +150,9 @@
 // BenchmarkPipelineThroughput measures the ring plane at ≈ 1.6x the
 // channel baseline on the raw tuple path and ≥ 2x in the reducer-bound
 // reference regime (AggShards = 4, 50 µs merge cost), where the
-// combiner tree's traffic cut is structural.
+// combiner tree's traffic cut is structural. The transport plane
+// (below) gives each reducer shard the same completeness-buffered
+// combiner root, without the interior nodes.
 //
 // # Transport
 //
@@ -165,8 +167,9 @@
 //     DataplaneRing — including a zero-copy Grant/Publish fast path
 //     that stages outgoing messages directly in the ring slots — so it
 //     prices exactly the interface boundary: zero allocations per
-//     operation in steady state and within ~5% of the direct ring
-//     plane's pipeline throughput (≈0.97x measured means).
+//     operation in steady state, and pipeline throughput on par with
+//     the direct ring plane in both BenchmarkPipelineThroughput
+//     regimes.
 //   - TransportTCP moves every edge over a real socket (loopback in
 //     the tests and benchmarks) speaking wire format v2: COLUMNAR
 //     length-prefixed frames (per-field columns with varint/zigzag
@@ -228,6 +231,16 @@
 // experiment tabulates. The fault-free bill for all of this —
 // sequencing, buffer retention, ack tracking — is within ~5% of the
 // pre-fault-tolerance link throughput (BenchmarkResendOverhead).
+//
+// On either backend each reducer shard drains its bolt links through
+// a combiner ROOT: it records every received partial's (window, key,
+// worker) replica triple from the worker id the partial carries on the
+// wire, folds the partial through the Merger, and hands its reducer
+// each window only once the window is complete. The reducers therefore
+// merge exactly one partial per (window, key) (Agg.Partials ==
+// Agg.Finals) rather than one per (window, key, worker), which is what
+// lets the transport plane keep pace with the ring plane when the
+// reduce stage is the bottleneck.
 //
 // Everything observable — finals, replication factors, completed
 // counts — is bit-identical across TransportDirect, TransportMemory
