@@ -12,9 +12,9 @@ import (
 )
 
 // BenchmarkPipelineThroughput is the dataplane A/B: the same
-// spout→bolt→sharded-reduce topology (W-C, AggShards=4, skewed stream)
+// spout→bolt→sharded-reduce topology (AggShards=4, skewed stream)
 // timed end to end — the full Run call, reducer drain included — on
-// the channel plane and on the SPSC ring plane, in two regimes:
+// the channel plane and on the SPSC ring plane, in three regimes:
 //
 //   - raw: AggMergeCost = 0, so the wall clock is the dataplane itself.
 //     The ring plane's win here is lock-free per-edge rings: no
@@ -26,8 +26,16 @@ import (
 //     structural: it pre-merges same-host partials before the shard
 //     hop, so the reducers pay the per-partial cost roughly once per
 //     (window, key) instead of once per (window, key, worker).
+//   - wide: the paper's at-scale regime (D-C over 256 workers, z=2.0,
+//     100k keys, no merge cost), where each bolt sees about one
+//     message per wake and per-bolt scheduling dominates: the regime in
+//     which the transport plane's executors differ from the ring
+//     plane's goroutine per bolt. Its stream is sized so the channel
+//     leg, the slowest, stays under 2 s at -benchtime=5x on a 2-core
+//     host. It has no TCP leg (see the loop below).
 //
-// Two transport legs ride along: mem-transport (the same topology over
+// The raw and reduce-bound regimes run W-C over 16 workers at z=1.4. Two
+// transport legs ride along: mem-transport (the same topology over
 // internal/transport memory links) and tcp-transport (loopback TCP with
 // batched varint framing). Their shard roots combine partials like the
 // ring plane's, without the interior tree nodes. The TCP leg prices
@@ -44,13 +52,17 @@ import (
 // trajectory, alongside routing's BENCH_* tables.
 func BenchmarkPipelineThroughput(b *testing.B) {
 	regimes := []struct {
-		name string
-		msgs int64
-		keys int
-		cost time.Duration
+		name    string
+		algo    string
+		workers int
+		z       float64
+		msgs    int64
+		keys    int
+		cost    time.Duration
 	}{
-		{"raw", 200_000, 300, 0},
-		{"reduce-bound", 20_000, 2000, 50 * time.Microsecond},
+		{"raw", "W-C", 16, 1.4, 200_000, 300, 0},
+		{"reduce-bound", "W-C", 16, 1.4, 20_000, 2000, 50 * time.Microsecond},
+		{"wide", "D-C", 256, 2.0, 100_000, 100_000, 0},
 	}
 	planes := []struct {
 		name string
@@ -72,11 +84,17 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	perFinal := make(map[string]float64) // merged partials per final
 	for _, reg := range regimes {
 		for _, plane := range planes {
+			if reg.workers > 16 && plane.tr == TransportTCP {
+				// 2048 loopback links, each sender eagerly holding its
+				// ~0.6 MB resend window: a memory test, not a throughput
+				// one.
+				continue
+			}
 			b.Run(reg.name+"/"+plane.name, func(b *testing.B) {
 				cfg := Config{
-					Workers:      16,
+					Workers:      reg.workers,
 					Sources:      4,
-					Algorithm:    "W-C",
+					Algorithm:    reg.algo,
 					AggWindow:    500,
 					AggShards:    4,
 					Messages:     reg.msgs,
@@ -90,7 +108,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 				var res Result
 				for i := 0; i < b.N; i++ {
 					var err error
-					if res, err = Run(workload.NewZipf(1.4, reg.keys, reg.msgs, 17), cfg); err != nil {
+					if res, err = Run(workload.NewZipf(reg.z, reg.keys, reg.msgs, 17), cfg); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -107,7 +125,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 
 	if dir := os.Getenv("SLB_BENCH_DIR"); dir != "" {
 		tab := &texttab.Table{
-			Title:   "pipeline throughput: channel vs ring vs transport (W-C, R=4, z=1.4)",
+			Title:   "pipeline throughput: channel vs ring vs transport (R=4; raw, reduce-bound: W-C, n=16, z=1.4; wide: D-C, n=256, z=2.0)",
 			Columns: []string{"regime", "dataplane", "msgs/s", "speedup", "partials/final"},
 		}
 		for _, reg := range regimes {

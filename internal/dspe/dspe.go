@@ -66,7 +66,11 @@ type Config struct {
 	// Core carries seed/θ/ε; Workers is filled in from this config.
 	Core core.Config
 	// ServiceTime is the simulated per-message processing cost at a bolt
-	// (the paper uses 1 ms). Zero means no artificial delay.
+	// (the paper uses 1 ms). Zero means no artificial delay. On the
+	// memory and TCP transports it also sets the execution model: at
+	// zero, bolts run as tasks on min(Workers, GOMAXPROCS) executor
+	// goroutines; above zero, every bolt gets its own executor, so one
+	// bolt's service time never delays another.
 	ServiceTime time.Duration
 	// QueueLen is the per-bolt input channel capacity in tuple slabs;
 	// 0 means 128.

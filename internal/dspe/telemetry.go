@@ -31,7 +31,10 @@ package dspe
 //	bolt_msgs_total              per worker: tuples processed
 //	acquire_stall_ns_total       per worker, ring and transport planes:
 //	                             fruitless-poll backoff time (input
-//	                             starvation)
+//	                             starvation); on the transport plane an
+//	                             executor's idle-sweep backoff, charged
+//	                             to every live bolt it hosts, so each
+//	                             series stays a share of its bolt's time
 //	bolt_partials_total          partials flushed by all bolts
 //	reduce_partials_total        per shard: partials the reducer merged —
 //	                             reduce_partials/bolt_partials is the

@@ -49,7 +49,9 @@ func TestTelemetryBothPlanes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := telemetryCfg("W-C", tc.plane)
 			cfg.Transport = tc.tr
+			t0 := time.Now()
 			res, err := Run(zipfGen(1.2, 300, msgs), cfg)
+			wall := time.Since(t0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,6 +85,18 @@ func TestTelemetryBothPlanes(t *testing.T) {
 				}
 				if tc.tr == TransportTCP && stall <= 0 {
 					t.Fatal("publish_stall_ns_total not populated over TCP")
+				}
+			}
+			if tc.tr == TransportMemory {
+				// Bolts share executors, whose idle backoff is charged to
+				// every live bolt they host: still one series per worker,
+				// each a share of that bolt's wall time.
+				stall, n := sumSeries(snap, "acquire_stall_ns_total")
+				if n != cfg.Workers {
+					t.Fatalf("acquire_stall_ns_total series = %d, want %d", n, cfg.Workers)
+				}
+				if limit := float64(cfg.Workers) * float64(wall.Nanoseconds()); stall > limit {
+					t.Fatalf("acquire_stall_ns_total = %v, more than Workers × wall (%v)", stall, limit)
 				}
 			}
 			// Aggregation: bolts flushed what the result says they did, and

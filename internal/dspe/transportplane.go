@@ -2,6 +2,7 @@ package dspe
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,6 +34,20 @@ import (
 // merge cost drops from the replication factor to 1. Bolts keep no
 // driver state. Finals and replication are bit-equal to both
 // in-process planes at Sources=1, pinned by TestTransportPlaneParity.
+//
+// Bolts are TASKS, not goroutines. Each bolt's state lives in a bolt
+// value whose poll sweeps its input links once without blocking; E
+// executor goroutines host the bolts, executor e those with w ≡ e
+// (mod E), and sweep them round-robin, backing off only after a sweep
+// in which none of its bolts made progress — as Storm runs many tasks
+// on one executor thread. E is derived, never configured: with
+// Config.ServiceTime == 0, E = min(Workers, GOMAXPROCS), so a wide
+// topology (hundreds of bolts, about one message per bolt per wake)
+// pays no goroutine switch per message; with ServiceTime > 0,
+// E = Workers, because a simulated per-message service time must not
+// delay the bolts sharing an executor — every bolt keeps its own server,
+// as the paper's queueing experiments assume. Routing, links, shards
+// and acks are the same either way, and so are the results.
 //
 // Control stays in-process by design: the per-source in-flight window
 // (ack semantics) is the ring plane's padded atomic counter, and
@@ -237,118 +252,45 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 	}
 
 	stats := make([]boltStats, cfg.Workers)
-	latSampled := make([]int64, cfg.Workers)
-	boltPartials := make([]int64, cfg.Workers)
-	var bolts sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		bolts.Add(1)
-		go func(w int) {
-			defer bolts.Done()
-			st := &stats[w]
-			st.lat = metrics.NewQuantiles(1 << 14)
-			var acc *aggregation.Accumulator
-			var scratch []aggregation.Partial
-			var pendP [][]transport.Msg
-			if agg {
-				acc = aggregation.NewAccumulatorMerger(w, cfg.AggMerger)
-				pendP = make([][]transport.Msg, shards)
-			}
-			// flushClosed closes windows below `before` and sends each
-			// partial to its shard — worker identity intact, merged (and
-			// its replica observed) at the reducer, exactly the channel
-			// plane's division of labor. Each touched link is flushed so
-			// window finals never sit in a coalescing buffer.
-			flushClosed := func(before int64) {
-				scratch = acc.FlushBefore(before, scratch[:0])
-				pt.addBoltPartials(len(scratch))
-				for i := range scratch {
-					p := &scratch[i]
-					r := aggregation.ShardFor(p.Digest, shards)
-					pendP[r] = append(pendP[r], partialMsg(p))
-				}
-				for r := range pendP {
-					if len(pendP[r]) > 0 {
-						if !failed() {
-							if err := boltOut[w][r].SendSlab(pendP[r]); err != nil {
-								fail(err)
-							} else if err := boltOut[w][r].Sender.Flush(); err != nil {
-								fail(err)
-							}
-						}
-						pendP[r] = pendP[r][:0]
-					}
-				}
-			}
-			buf := make([]transport.Msg, cfg.Batch)
-			drained := make([]bool, cfg.Sources)
-			remaining := cfg.Sources
-			spins := 0
-			for remaining > 0 {
-				progressed := false
-				for s := 0; s < cfg.Sources; s++ {
-					if drained[s] {
-						continue
-					}
-					n, done := in[s][w].RecvSlab(buf)
-					if n == 0 {
-						if done {
-							drained[s] = true
-							remaining--
-							progressed = true
-						}
-						continue
-					}
-					progressed = true
-					acks := 0
-					for i := 0; i < n; i++ {
-						m := &buf[i]
-						if m.Src < 0 {
-							// Watermark tick: flush with one window of slack,
-							// exactly as the other planes. No ack.
-							if acc != nil {
-								flushClosed(m.Window - 1)
-							}
-							continue
-						}
-						simulateWork(svcFor(w), cfg.Spin)
-						if acc != nil {
-							if wm, ok := acc.Watermark(); ok && m.Window > wm {
-								flushClosed(m.Window - 1)
-							}
-							acc.AddSample(m.Window, core.KeyDigest(m.Dig), m.Key, 1, m.Weight)
-						}
-						if m.Emit != 0 {
-							lat := time.Duration(time.Now().UnixNano() - m.Emit)
-							st.lat.Add(float64(lat))
-							st.sum += lat
-							latSampled[w]++
-						}
-						st.count++
-						acks++
-					}
-					if acks > 0 {
-						inflight[s].n.Add(int64(-acks))
-						pt.addBoltMsgs(w, acks)
-					}
-				}
-				if progressed {
-					spins = 0
-				} else if pt != nil {
-					t0 := time.Now()
-					backoff(&spins)
-					pt.addAcquireStall(w, time.Since(t0))
-				} else {
-					backoff(&spins)
-				}
-			}
-			if acc != nil {
-				flushClosed(1 << 62)
-				boltPartials[w] = acc.Flushed()
-				for r := range boltOut[w] {
-					boltOut[w][r].Sender.Close()
-				}
-			}
-		}(w)
+	bolts := make([]*bolt, cfg.Workers)
+	for w := range bolts {
+		b := &bolt{
+			w:         w,
+			in:        make([]*transport.Link, cfg.Sources),
+			inflight:  inflight,
+			pt:        pt,
+			fail:      fail,
+			failed:    failed,
+			svc:       svcFor(w),
+			spin:      cfg.Spin,
+			st:        &stats[w],
+			buf:       make([]transport.Msg, cfg.Batch),
+			drained:   make([]bool, cfg.Sources),
+			remaining: cfg.Sources,
+		}
+		b.st.lat = metrics.NewQuantiles(1 << 14)
+		for s := range in {
+			b.in[s] = in[s][w]
+		}
+		if agg {
+			b.out = boltOut[w]
+			b.acc = aggregation.NewAccumulatorMerger(w, cfg.AggMerger)
+			b.pendP = make([][]transport.Msg, shards)
+		}
+		bolts[w] = b
+	}
+	execs := executorCount(cfg)
+	var executors sync.WaitGroup
+	for e := 0; e < execs; e++ {
+		hosted := make([]*bolt, 0, (cfg.Workers+execs-1)/execs)
+		for w := e; w < cfg.Workers; w += execs {
+			hosted = append(hosted, bolts[w])
+		}
+		executors.Add(1)
+		go func() {
+			defer executors.Done()
+			runExecutor(hosted, pt)
+		}()
 	}
 
 	nextSlab, _ := slabSource(gen, limit)
@@ -563,7 +505,7 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 	}
 
 	spouts.Wait()
-	bolts.Wait()
+	executors.Wait()
 	elapsed := time.Since(start)
 	total := elapsed
 	if agg {
@@ -589,8 +531,8 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 		res.Agg = sd.Stats()
 		res.AggTotal = sd.Total()
 		res.AggReplication = sd.Replication()
-		for _, n := range boltPartials {
-			res.AggBoltPartials += n
+		for _, b := range bolts {
+			res.AggBoltPartials += b.acc.Flushed()
 		}
 		if total > 0 {
 			for _, busy := range reduceBusy {
@@ -606,8 +548,8 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 		st := &stats[w]
 		res.Loads[w] = st.count
 		res.Completed += st.count
-		if latSampled[w] > 0 {
-			if avg := st.sum / time.Duration(latSampled[w]); avg > res.MaxAvgLatency {
+		if n := bolts[w].latSampled; n > 0 {
+			if avg := st.sum / time.Duration(n); avg > res.MaxAvgLatency {
 				res.MaxAvgLatency = avg
 			}
 		}
@@ -622,6 +564,168 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 	}
 	gen.Reset()
 	return res, nil
+}
+
+// executorCount is how many executor goroutines host cfg's bolts: one
+// per processor, or one per bolt under a simulated service time (see
+// the file header).
+func executorCount(cfg Config) int {
+	if cfg.ServiceTime > 0 {
+		return cfg.Workers
+	}
+	return min(cfg.Workers, runtime.GOMAXPROCS(0))
+}
+
+// runExecutor runs one executor goroutine: it sweeps its hosted bolts
+// round-robin, polling each once per sweep, until every one is done.
+// It backs off only after a sweep in which none of them made progress,
+// and charges that idle time to every bolt still live on it as input
+// starvation (acquire_stall_ns_total).
+func runExecutor(hosted []*bolt, pt *planeTelemetry) {
+	spins := 0
+	for len(hosted) > 0 {
+		progressed := false
+		live := hosted[:0]
+		for _, b := range hosted {
+			p, done := b.poll()
+			if p {
+				progressed = true
+			}
+			if !done {
+				live = append(live, b)
+			}
+		}
+		hosted = live
+		if progressed {
+			spins = 0
+			continue
+		}
+		if pt == nil {
+			backoff(&spins)
+			continue
+		}
+		t0 := time.Now()
+		backoff(&spins)
+		idle := time.Since(t0)
+		for _, b := range hosted {
+			pt.addAcquireStall(b.w, idle)
+		}
+	}
+}
+
+// bolt is one transport-plane bolt, run as a task on an executor: its
+// input links (one per source), its partial links (one per shard), and
+// the state its sweeps carry from one poll to the next.
+type bolt struct {
+	w        int
+	in       []*transport.Link // per source
+	out      []*transport.Link // per shard; nil without aggregation
+	inflight []inflightCounter // per source ack counters (shared)
+	pt       *planeTelemetry
+	fail     func(error)
+	failed   func() bool
+	svc      time.Duration // simulated per-message service time
+	spin     bool
+
+	st         *boltStats
+	latSampled int64
+	acc        *aggregation.Accumulator // nil without aggregation
+	scratch    []aggregation.Partial
+	pendP      [][]transport.Msg // per shard staging
+	buf        []transport.Msg   // receive buffer
+	drained    []bool            // per source: input link closed and empty
+	remaining  int               // sources not yet drained
+}
+
+// poll sweeps the bolt's input links once without blocking. progressed
+// reports whether any link yielded messages or drained. Once every link
+// has drained the bolt flushes its last partials, closes its partial
+// links and reports done.
+func (b *bolt) poll() (progressed, done bool) {
+	for s, l := range b.in {
+		if b.drained[s] {
+			continue
+		}
+		n, fin := l.RecvSlab(b.buf)
+		if n == 0 {
+			if fin {
+				b.drained[s] = true
+				b.remaining--
+				progressed = true
+			}
+			continue
+		}
+		progressed = true
+		acks := 0
+		for i := 0; i < n; i++ {
+			m := &b.buf[i]
+			if m.Src < 0 {
+				// Watermark tick: flush with one window of slack,
+				// exactly as the other planes. No ack.
+				if b.acc != nil {
+					b.flushClosed(m.Window - 1)
+				}
+				continue
+			}
+			simulateWork(b.svc, b.spin)
+			if b.acc != nil {
+				if wm, ok := b.acc.Watermark(); ok && m.Window > wm {
+					b.flushClosed(m.Window - 1)
+				}
+				b.acc.AddSample(m.Window, core.KeyDigest(m.Dig), m.Key, 1, m.Weight)
+			}
+			if m.Emit != 0 {
+				lat := time.Duration(time.Now().UnixNano() - m.Emit)
+				b.st.lat.Add(float64(lat))
+				b.st.sum += lat
+				b.latSampled++
+			}
+			b.st.count++
+			acks++
+		}
+		if acks > 0 {
+			b.inflight[s].n.Add(int64(-acks))
+			b.pt.addBoltMsgs(b.w, acks)
+		}
+	}
+	if b.remaining > 0 {
+		return progressed, false
+	}
+	if b.acc != nil {
+		b.flushClosed(1 << 62)
+		for _, l := range b.out {
+			l.Sender.Close()
+		}
+	}
+	return progressed, true
+}
+
+// flushClosed closes windows below `before` and sends each partial to
+// its shard — worker identity intact, merged (and its replica observed)
+// at the reducer, exactly the channel plane's division of labor. Each
+// touched link is flushed so window finals never sit in a coalescing
+// buffer.
+func (b *bolt) flushClosed(before int64) {
+	b.scratch = b.acc.FlushBefore(before, b.scratch[:0])
+	b.pt.addBoltPartials(len(b.scratch))
+	for i := range b.scratch {
+		p := &b.scratch[i]
+		r := aggregation.ShardFor(p.Digest, len(b.out))
+		b.pendP[r] = append(b.pendP[r], partialMsg(p))
+	}
+	for r, pend := range b.pendP {
+		if len(pend) == 0 {
+			continue
+		}
+		if !b.failed() {
+			if err := b.out[r].SendSlab(pend); err != nil {
+				b.fail(err)
+			} else if err := b.out[r].Sender.Flush(); err != nil {
+				b.fail(err)
+			}
+		}
+		b.pendP[r] = pend[:0]
+	}
 }
 
 // combineRoot is shard r's reduce loop, shared by the ring and

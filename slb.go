@@ -168,8 +168,8 @@
 //     that stages outgoing messages directly in the ring slots — so it
 //     prices exactly the interface boundary: zero allocations per
 //     operation in steady state, and pipeline throughput on par with
-//     the direct ring plane in both BenchmarkPipelineThroughput
-//     regimes.
+//     the direct ring plane when the reducers bound it and ahead of it
+//     in BenchmarkPipelineThroughput's raw and wide (n = 256) regimes.
 //   - TransportTCP moves every edge over a real socket (loopback in
 //     the tests and benchmarks) speaking wire format v2: COLUMNAR
 //     length-prefixed frames (per-field columns with varint/zigzag
@@ -241,6 +241,15 @@
 // Agg.Finals) rather than one per (window, key, worker), which is what
 // lets the transport plane keep pace with the ring plane when the
 // reduce stage is the bottleneck.
+//
+// On either backend bolts are tasks, not goroutines: executor
+// goroutines each host a share of the bolts and sweep them
+// round-robin, backing off only when none of them has input, as Storm
+// runs many tasks on one executor thread. With EngineConfig.ServiceTime
+// zero there are min(Workers, GOMAXPROCS) executors, so a wide
+// topology no longer pays a goroutine switch per message; with a
+// simulated service time every bolt keeps its own executor, so one
+// bolt's service time never delays another.
 //
 // Everything observable — finals, replication factors, completed
 // counts — is bit-identical across TransportDirect, TransportMemory
