@@ -1,7 +1,7 @@
 // Command slbsoak runs an hours-capable soak: drifting Zipf workloads
 // (workload.Drift) cycled across every engine — eventsim, the dspe
-// channel plane, the dspe ring plane and (with -tcp, on by default
-// under -short) the dspe engine over the loopback TCP transport — with
+// engine over memory links and (with -tcp, on by default under -short)
+// the dspe engine over the loopback TCP transport — with
 // each run's telemetry registry sampled on a fixed interval. Interval rows stream
 // to stdout as JSONL while the soak progresses; at the end a per-engine
 // summary table prints and, optionally, is written as a BENCH_soak
@@ -84,8 +84,8 @@ func main() {
 			*duration = 8 * time.Second
 		}
 		if !set["interval"] {
-			// Shorter than the fastest leg (the ring plane drains
-			// 120k messages in a few hundred ms), so every dataplane
+			// Shorter than the fastest leg (the memory leg drains
+			// 120k messages in a few hundred ms), so every engine
 			// still emits in-flight interval rows, not just finals.
 			*interval = 100 * time.Millisecond
 		}

@@ -48,21 +48,22 @@ func TestHashOnceEventsim(t *testing.T) {
 	}
 }
 
-// dataplanes names both tuple transports of the goroutine runtime; the
+// dataplanes names both link backends of the goroutine runtime; the
 // digest-carry and parity properties must hold identically on each.
-var dataplanes = map[string]slb.Dataplane{
-	"channel": slb.DataplaneChannel,
-	"ring":    slb.DataplaneRing,
+var dataplanes = map[string]slb.Transport{
+	"memory": slb.TransportMemory,
+	"tcp":    slb.TransportTCP,
 }
 
 // TestHashOnceDspeRun: the goroutine engine digests each key exactly
 // once per message with aggregation on — routing's digests flow into
 // the bolts' partial tables, the shard split, and the reducers, with
-// zero re-scans. The ring plane's combiner tree adds merge hops but no
+// zero re-scans. The digest crosses every link (the TCP codec ships it
+// with the key), and the shard roots' combiners add merge hops but no
 // re-hash: combined partials carry their constituents' digests.
 func TestHashOnceDspeRun(t *testing.T) {
 	const m = 10_000
-	for plane, dp := range dataplanes {
+	for plane, tr := range dataplanes {
 		for _, algo := range []string{"KG", "W-C", "SG"} {
 			for _, shards := range []int{1, 4} {
 				got := countDigests(func() {
@@ -70,7 +71,7 @@ func TestHashOnceDspeRun(t *testing.T) {
 					if _, err := slb.RunTopology(gen, slb.EngineConfig{
 						Workers: 4, Sources: 2, Algorithm: algo,
 						Core: slb.Config{Seed: 11}, AggWindow: 500,
-						AggShards: shards, Dataplane: dp,
+						AggShards: shards, Transport: tr,
 					}); err != nil {
 						t.Fatal(err)
 					}
@@ -88,7 +89,7 @@ func TestHashOnceDspeRun(t *testing.T) {
 // digest — the only digests of the whole run happen at the spout.
 func TestHashOncePipeline(t *testing.T) {
 	const m = 8_000
-	for plane, dp := range dataplanes {
+	for plane, dp := range map[string]slb.Dataplane{"channel": slb.DataplaneChannel, "ring": slb.DataplaneRing} {
 		got := countDigests(func() {
 			gen := slb.NewZipfStream(1.6, 300, m, 11)
 			p := slb.NewPipeline(gen, 2).
@@ -158,12 +159,12 @@ func TestCrossEngineAggregationParity(t *testing.T) {
 			t.Errorf("%s eventsim: total %d, want %d", algo, evt.AggTotal, m)
 		}
 
-		for plane, dp := range dataplanes {
+		for plane, tr := range dataplanes {
 			liveFinals, onLive := collect()
 			live, err := slb.RunTopology(slb.NewZipfStream(1.8, 400, m, 29), slb.EngineConfig{
 				Workers: 8, Sources: 1, Algorithm: algo,
 				Core: slb.Config{Seed: 29}, ServiceTime: 0,
-				AggWindow: window, OnFinal: onLive, Dataplane: dp,
+				AggWindow: window, OnFinal: onLive, Transport: tr,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -246,14 +247,14 @@ func TestCrossEngineShardedMergerParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			engines := map[string]map[fk]slb.AggFinal{"eventsim": evtFinals}
-			for plane, dp := range dataplanes {
+			for plane, tr := range dataplanes {
 				liveFinals, onLive := collect()
 				live, err := slb.RunTopology(slb.NewZipfStream(1.8, 400, m, 29), slb.EngineConfig{
 					Workers: 8, Sources: 1, Algorithm: "W-C",
 					Core: slb.Config{Seed: 29}, ServiceTime: 0,
 					AggWindow: window, AggShards: shards,
 					AggMerger: merger, AggValue: sample, OnFinal: onLive,
-					Dataplane: dp,
+					Transport: tr,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -693,15 +693,6 @@ func (d *Driver) emit(fs []Final, onFinal func(Final)) {
 	}
 }
 
-// observeReplica records one (window-key id, worker) state replica.
-// Thread-safe: under the combiner tree, bolts observe the original
-// triples concurrently with the shard goroutine closing windows.
-func (d *Driver) observeReplica(id uint64, worker int) {
-	d.repMu.Lock()
-	d.reps.Observe(id, worker)
-	d.repMu.Unlock()
-}
-
 // observeReplicas records the (window, key, worker) triple of every
 // uncombined partial in ps. One lock for the whole slab: per-partial
 // lock/unlock is measurable on planes where every partial arrives
@@ -711,7 +702,7 @@ func (d *Driver) observeReplicas(ps []Partial) {
 	for i := range ps {
 		// Combined partials (Worker < 0) merged away their worker
 		// identity; the engine observed each constituent triple before
-		// merging (ShardedDriver.ObserveReplica/ObserveReplicas).
+		// merging (ShardedDriver.ObserveReplicas).
 		if ps[i].Worker >= 0 {
 			d.reps.Observe(WindowKeyID(ps[i].Window, ps[i].Digest), int(ps[i].Worker))
 		}

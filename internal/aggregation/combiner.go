@@ -1,47 +1,45 @@
 package aggregation
 
-// combiner.go implements the worker-side combiner tree's node logic:
-// pre-merging partials that target one reducer shard BEFORE they cross
-// the shard hop. Several bolts on one host each hold a partial for the
-// same (window, key); merging them host-side through the same pluggable
-// Merger the reducer would use collapses that replication to (at most)
-// one partial per (window, key, shard) — the reduce stage's traffic
-// drops from the replication factor to 1, which the AggShards sweeps
-// identified as the scaling wall.
+// combiner.go implements the combiner that pre-merges the partials
+// bound for one reducer shard BEFORE the shard's driver merges them.
+// Several bolts each hold a partial for the same (window, key); folding
+// them through the same pluggable Merger the reducer would use
+// collapses that replication to one partial per (window, key) — the
+// reduce stage's merge traffic drops from the replication factor to 1,
+// which the AggShards sweeps identified as the scaling wall.
 //
 // Pre-merging is exact because the Merger contract is a commutative,
-// associative fold: combining partials in the tree and then at the
+// associative fold: combining partials in the combiner and then at the
 // reducer yields bit-identical finals to combining them all at the
 // reducer (Count/Sum are integer sums, Min/Max comparisons, Distinct a
 // register-wise max — all exactly associative).
 //
-// Two bookkeeping invariants survive the tree:
+// Two bookkeeping invariants survive the pre-merge:
 //
 //   - Completeness: partials carry message counts and the fold adds
 //     them, so a combined partial stands for exactly the messages of
 //     its constituents; window close thresholds are unaffected.
 //   - Replication accounting: merging erases worker identity, so a
 //     combined partial carries Worker = CombinedWorker and is skipped
-//     by the Driver's replica observation. The engines instead observe
+//     by the Driver's replica observation. The engine instead observes
 //     each ORIGINAL (window, key, worker) triple before the partial is
-//     merged — at the bolt (ShardedDriver.ObserveReplica) on the ring
-//     plane, on receipt at the shard root (ObserveReplicas) on the
-//     transport plane — same triples as the unchanged dataplane, so
-//     measured replication factors are bit-equal across dataplanes.
+//     merged — on receipt at the shard root
+//     (ShardedDriver.ObserveReplicas) — so measured replication factors
+//     equal those of merging every raw partial.
 //
-// CombineTable is the interior tree node (opportunistic merge, no
-// completeness knowledge); Combiner is the per-shard root, which also
+// CombineTable is the plain fold (opportunistic merge, no completeness
+// knowledge); Combiner is the per-shard root built on it, which also
 // buffers to window completeness so the shard's driver receives each
 // (window, key) exactly once and closes the window on receipt.
 
 // CombinedWorker marks a partial produced by pre-merging partials of
 // several workers: its worker identity is gone, and the Driver must not
 // (and does not) count it toward state replication — the engines
-// observed the constituent triples via ObserveReplica before merging.
+// observed the constituent triples via ObserveReplicas before merging.
 const CombinedWorker int32 = -1
 
 // CombineTable merges partials by (window, key digest) through a merge
-// operator: the interior node of a combiner tree. It knows nothing of
+// operator: the fold under Combiner. It knows nothing of
 // completeness — callers fold whatever partials they have drained and
 // flush the merged survivors downstream whenever they choose. Not safe
 // for concurrent use; each tree node owns one.

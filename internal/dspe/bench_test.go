@@ -11,41 +11,30 @@ import (
 	"slb/internal/workload"
 )
 
-// BenchmarkPipelineThroughput is the dataplane A/B: the same
+// BenchmarkPipelineThroughput is the transport A/B: the same
 // spout→bolt→sharded-reduce topology (AggShards=4, skewed stream)
-// timed end to end — the full Run call, reducer drain included — on
-// the channel plane and on the SPSC ring plane, in three regimes:
+// timed end to end — the full Run call, reducer drain included — over
+// memory links and over loopback TCP, in three regimes:
 //
-//   - raw: AggMergeCost = 0, so the wall clock is the dataplane itself.
-//     The ring plane's win here is lock-free per-edge rings: no
-//     per-tuple in-flight channel handshake, no per-slab allocation,
-//     batched Grant/Publish on every edge.
-//   - reduce-bound: the PR-4 reference regime (AggMergeCost = 50 µs,
-//     the merge cost that saturates the reduce stage at R = 1 and is
-//     quartered by R = 4). Here the worker-side combiner tree is
-//     structural: it pre-merges same-host partials before the shard
-//     hop, so the reducers pay the per-partial cost roughly once per
-//     (window, key) instead of once per (window, key, worker).
+//   - raw: AggMergeCost = 0, so the wall clock is the data path itself.
+//   - reduce-bound: AggMergeCost = 50 µs, the merge cost that saturates
+//     the reduce stage at R = 1 and is quartered by R = 4. The shard
+//     roots' combiners pre-merge partials before the driver, so the
+//     reducers pay the per-partial cost once per (window, key) instead
+//     of once per (window, key, worker).
 //   - wide: the paper's at-scale regime (D-C over 256 workers, z=2.0,
 //     100k keys, no merge cost), where each bolt sees about one
-//     message per wake and per-bolt scheduling dominates: the regime in
-//     which the transport plane's executors differ from the ring
-//     plane's goroutine per bolt. Its stream is sized so the channel
-//     leg, the slowest, stays under 2 s at -benchtime=5x on a 2-core
-//     host. It has no TCP leg (see the loop below).
+//     message per wake and executor scheduling dominates. It has no
+//     TCP leg (see the loop below).
 //
-// The raw and reduce-bound regimes run W-C over 16 workers at z=1.4. Two
-// transport legs ride along: mem-transport (the same topology over
-// internal/transport memory links) and tcp-transport (loopback TCP with
-// batched varint framing). Their shard roots combine partials like the
-// ring plane's, without the interior tree nodes. The TCP leg prices
-// leaving the process.
+// The raw and reduce-bound regimes run W-C over 16 workers at z=1.4.
+// mem-transport is the base leg; tcp-transport (batched columnar
+// framing over loopback) prices leaving the process.
 //
 // Each leg also reports merged partials per final (Agg.Partials /
-// Agg.Finals): the replication factor on the channel plane, exactly 1
-// wherever a completeness-buffered combiner root feeds the reducers.
-// It is deterministic, so the combiner's cut reads as a number in the
-// artifact.
+// Agg.Finals): exactly 1 wherever a completeness-buffered combiner
+// root feeds the reducers. It is deterministic, so the combiner's cut
+// reads as a number in the artifact.
 //
 // When SLB_BENCH_DIR is set, the run writes the measured table as
 // BENCH_pipeline_throughput.json — the engine's entry in the CI perf
@@ -66,18 +55,15 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	}
 	planes := []struct {
 		name string
-		dp   Dataplane
 		tr   Transport
 		win  int
 	}{
-		{"channel", DataplaneChannel, TransportDirect, 0},
-		{"ring", DataplaneRing, TransportDirect, 0},
-		{"mem-transport", DataplaneRing, TransportMemory, 0},
+		{"mem-transport", TransportMemory, 0},
 		// The default in-flight window (100) makes a TCP run ack-latency
 		// bound — every burst waits out a loopback syscall round trip —
 		// so the leg would measure latency, not transport throughput. A
 		// deeper window keeps the wire busy between ack cycles.
-		{"tcp-transport", DataplaneRing, TransportTCP, 4096},
+		{"tcp-transport", TransportTCP, 4096},
 	}
 
 	rate := make(map[string]float64)
@@ -99,7 +85,6 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 					AggShards:    4,
 					Messages:     reg.msgs,
 					AggMergeCost: reg.cost,
-					Dataplane:    plane.dp,
 					Transport:    plane.tr,
 					Window:       plane.win,
 				}
@@ -125,11 +110,11 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 
 	if dir := os.Getenv("SLB_BENCH_DIR"); dir != "" {
 		tab := &texttab.Table{
-			Title:   "pipeline throughput: channel vs ring vs transport (R=4; raw, reduce-bound: W-C, n=16, z=1.4; wide: D-C, n=256, z=2.0)",
-			Columns: []string{"regime", "dataplane", "msgs/s", "speedup", "partials/final"},
+			Title:   "pipeline throughput: memory vs TCP transport (R=4; raw, reduce-bound: W-C, n=16, z=1.4; wide: D-C, n=256, z=2.0)",
+			Columns: []string{"regime", "transport", "msgs/s", "speedup", "partials/final"},
 		}
 		for _, reg := range regimes {
-			base := rate[reg.name+"/channel"]
+			base := rate[reg.name+"/mem-transport"]
 			if base <= 0 {
 				continue
 			}

@@ -23,7 +23,6 @@ func baseCfg(algo string, n, s int) Config {
 		Core:        core.Config{Seed: 5},
 		ServiceTime: 200 * time.Microsecond,
 		Window:      32,
-		QueueLen:    64,
 	}
 }
 

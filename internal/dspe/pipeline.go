@@ -228,6 +228,18 @@ type PipelineConfig struct {
 	Dataplane Dataplane
 }
 
+// Dataplane names a Pipeline tuple transport; see PipelineConfig.Dataplane.
+type Dataplane int
+
+const (
+	// DataplaneChannel moves tuples over one bounded MPSC channel per
+	// executor: the default.
+	DataplaneChannel Dataplane = iota
+	// DataplaneRing moves tuples through per-(sender, receiver)
+	// lock-free SPSC rings whose slots are the tuple arena.
+	DataplaneRing
+)
+
 // pipeTuple carries the key and its KeyDigest (computed once, when the
 // spout routes the first edge, and re-derived downstream only when a
 // stage emits a DIFFERENT key), plus the root emission time for

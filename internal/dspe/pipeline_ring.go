@@ -26,6 +26,15 @@ import (
 	"slb/internal/ring"
 )
 
+// pushOne blocks until v is in the ring (the edge graph is acyclic, so
+// the consumer is always draining).
+func pushOne[T any](q *ring.SPSC[T], v T) {
+	spins := 0
+	for !q.TryPush(v) {
+		backoff(&spins)
+	}
+}
+
 // runRing executes the pipeline on per-edge SPSC rings.
 func (p *Pipeline) runRing(cfg PipelineConfig) (PipelineResult, error) {
 	queueLen := cfg.QueueLen

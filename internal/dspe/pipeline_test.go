@@ -281,3 +281,61 @@ func TestPipelinePlainStagePreservesWeight(t *testing.T) {
 		t.Fatalf("summed weight %d, want %d (plain stage must pass weights through)", got, m)
 	}
 }
+
+// TestPipelineRingDataplaneParity runs the same two-phase aggregation
+// pipeline (windowed aggregate → KG reduce) on both dataplanes and
+// checks the reduced per-(window, key) counts against the stream's
+// ground truth — and therefore against each other — exactly.
+func TestPipelineRingDataplaneParity(t *testing.T) {
+	const (
+		m          = 10_000
+		windowSize = 1_000
+	)
+	truth := aggGroundTruth(zipfGen(1.5, 200, m), windowSize)
+
+	for _, dp := range []Dataplane{DataplaneChannel, DataplaneRing} {
+		name := "channel"
+		if dp == DataplaneRing {
+			name = "ring"
+		}
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			got := make(map[int64]map[string]int64)
+			p := NewPipeline(zipfGen(1.5, 200, m), 2).
+				AddWindowedAggregate("partial", 4, "D-C", windowSize).
+				AddWeightedStage("reduce", 2, "KG", 0, func(key string, window, count int64, _ func(string, int64)) {
+					mu.Lock()
+					mm := got[window]
+					if mm == nil {
+						mm = make(map[string]int64)
+						got[window] = mm
+					}
+					mm[key] += count
+					mu.Unlock()
+				})
+			res, err := p.Run(PipelineConfig{Core: core.Config{Seed: 5}, QueueLen: 32, Dataplane: dp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Emitted != m {
+				t.Fatalf("emitted %d of %d", res.Emitted, m)
+			}
+			if len(got) != len(truth) {
+				t.Fatalf("got %d windows, want %d", len(got), len(truth))
+			}
+			for w, wantKeys := range truth {
+				if len(got[w]) != len(wantKeys) {
+					t.Fatalf("window %d: got %d keys, want %d", w, len(got[w]), len(wantKeys))
+				}
+				for k, want := range wantKeys {
+					if got[w][k] != want {
+						t.Fatalf("window %d key %q: got %d, want %d", w, k, got[w][k], want)
+					}
+				}
+			}
+			if res.Stages[1].Processed != res.Stages[0].AggPartials {
+				t.Fatalf("reduce processed %d, aggregate emitted %d", res.Stages[1].Processed, res.Stages[0].AggPartials)
+			}
+		})
+	}
+}

@@ -19,21 +19,26 @@ import (
 // internal/eventsim's TestShardedReducerMovesSaturation).
 func TestShardedReducerRecoversThroughput(t *testing.T) {
 	const m = 20000
-	run := func(r int) Result {
+	// run returns the result and the throughput over the whole Run
+	// call: Result.Throughput stops at the bolts' drain, before the
+	// reducers have merged the windows buffered on their links.
+	run := func(r int) (Result, float64) {
 		gen := workload.NewZipf(1.4, 2000, m, 23)
+		t0 := time.Now()
 		res, err := Run(gen, Config{
 			Workers: 16, Sources: 4, Algorithm: "W-C",
 			Core: core.Config{Seed: 7}, ServiceTime: 0,
 			AggWindow: 500, AggShards: r,
-			AggMergeCost: 50 * time.Microsecond,
+			AggMergeCost: 100 * time.Microsecond,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, float64(res.Completed) / time.Since(t0).Seconds()
 	}
-	r1 := run(1)
-	r4 := run(4)
+	r1, thr1 := run(1)
+	r4, thr4 := run(4)
+	t.Logf("R=1 %.0f msgs/s, R=4 %.0f msgs/s (%.2fx); %d partials merged", thr1, thr4, thr4/thr1, r1.Agg.Partials)
 	for _, res := range []Result{r1, r4} {
 		if res.AggTotal != m {
 			t.Fatalf("finals sum to %d, want %d", res.AggTotal, m)
@@ -45,12 +50,15 @@ func TestShardedReducerRecoversThroughput(t *testing.T) {
 	if r1.AggReducerUtil < 0.9 {
 		t.Fatalf("R=1 reducer util %.3f, want ≥ 0.9 (the merge cost must make the reducer the bottleneck)", r1.AggReducerUtil)
 	}
-	// ~8.4k partials × 50 µs ≈ 420 ms of merge work: serialized at R=1,
-	// quartered at R=4. The measured speedup is ≈ 3×; assert 1.7× to
-	// stay robust on slow CI hosts.
-	if r4.Throughput < 1.7*r1.Throughput {
+	// ~4.1k combined partials × 100 µs ≈ 410 ms of merge work: serialized
+	// at R=1, quartered at R=4. The cost is high enough that the merge
+	// work still dominates the run at R=4 under the race detector, which
+	// slows the engine several-fold but not the simulated merge sleep.
+	// The measured speedup is ≈ 3.3× on a 2-core host (≥ 2.1× under
+	// -race); assert 1.7× to stay robust on slow CI hosts.
+	if thr4 < 1.7*thr1 {
 		t.Errorf("R=4 throughput %.0f not ≥ 1.7× R=1's %.0f: sharding is not parallelizing the reduce stage",
-			r4.Throughput, r1.Throughput)
+			thr4, thr1)
 	}
 	if !(r4.AggReducerUtilMean < r1.AggReducerUtilMean) {
 		t.Errorf("mean shard util did not drop: R=4 %.3f vs R=1 %.3f", r4.AggReducerUtilMean, r1.AggReducerUtilMean)

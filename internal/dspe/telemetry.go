@@ -10,36 +10,33 @@ package dspe
 // so the engines carry one field and never branch on configuration
 // beyond `pt != nil` where a time.Now pair would otherwise be paid.
 //
-// Series registered per run (labels: engine=dspe-channel|dspe-ring,
-// algo, plus spout/worker/shard where noted):
+// Series registered per run (labels: engine=dspe-mem|dspe-tcp, algo,
+// plus spout/worker/shard where noted):
 //
 //	route_*                      per spout — see core.NewRouteRecorder
 //	spout_ack_wait_ns_total      per spout: blocked acquiring in-flight
 //	                             window slots (ack backpressure)
-//	spout_ack_window             per spout gauge, transport plane: the
-//	                             current in-flight ack window (grows
-//	                             adaptively over TCP when Config.Window
-//	                             was left at its default)
-//	publish_stall_ns_total       per spout: ring plane, blocked
-//	                             publishing into a full tuple ring;
-//	                             transport plane, backed off on a full
-//	                             granting link plus time inside SendSlab
-//	                             (frame encode and buffer waits over TCP)
-//	queue_depth                  per worker gauge: channel plane in tuple
-//	                             SLABS (len of the bolt's channel), ring
-//	                             plane in TUPLES (sum of its rings' Len)
+//	spout_ack_window             per spout gauge: the current in-flight
+//	                             ack window (grows adaptively over TCP
+//	                             when Config.Window was left at its
+//	                             default)
+//	publish_stall_ns_total       per spout: backed off on a full granting
+//	                             link plus time inside SendSlab (frame
+//	                             encode and buffer waits over TCP)
+//	queue_depth                  per worker gauge: messages waiting in the
+//	                             bolt's input links (sum of their receive
+//	                             rings' Len; over TCP, decoded messages
+//	                             not yet polled)
 //	bolt_msgs_total              per worker: tuples processed
-//	acquire_stall_ns_total       per worker, ring and transport planes:
-//	                             fruitless-poll backoff time (input
-//	                             starvation); on the transport plane an
-//	                             executor's idle-sweep backoff, charged
-//	                             to every live bolt it hosts, so each
-//	                             series stays a share of its bolt's time
+//	acquire_stall_ns_total       per worker: input starvation, the
+//	                             executor's idle-sweep backoff charged to
+//	                             every live bolt it hosts, so each series
+//	                             stays a share of its bolt's time
 //	bolt_partials_total          partials flushed by all bolts
 //	reduce_partials_total        per shard: partials the reducer merged —
-//	                             reduce_partials/bolt_partials is the
-//	                             combiner's pre-merge ratio (1 on the
-//	                             channel plane by construction)
+//	                             one per (window, key) behind the combiner
+//	                             root, so reduce_partials/bolt_partials
+//	                             is the root's pre-merge ratio
 //	reduce_busy_ns_total         per shard: reducer goroutine busy time
 //	reduce_open_windows          per shard gauge: open windows
 //	reduce_live_entries          per shard gauge: live (window, key) rows
@@ -47,7 +44,7 @@ package dspe
 //
 // GaugeFuncs are replace-on-reregister in the registry, so repeated
 // runs against one registry (the soak harness) always read the current
-// run's channels, rings and drivers.
+// run's links and drivers.
 
 import (
 	"strconv"
@@ -55,16 +52,17 @@ import (
 
 	"slb/internal/aggregation"
 	"slb/internal/core"
-	"slb/internal/ring"
 	"slb/internal/telemetry"
+	"slb/internal/transport"
 )
 
-// planeName returns the engine label value for the configured dataplane.
-func planeName(d Dataplane) string {
-	if d == DataplaneRing {
-		return "dspe-ring"
+// engineName returns the engine label value for the configured
+// transport.
+func engineName(t Transport) string {
+	if t == TransportTCP {
+		return "dspe-tcp"
 	}
-	return "dspe-channel"
+	return "dspe-mem"
 }
 
 type planeTelemetry struct {
@@ -73,10 +71,10 @@ type planeTelemetry struct {
 
 	recs         []*core.RouteRecorder // per spout
 	ackWait      []*telemetry.Counter  // per spout
-	ackWindow    []*telemetry.Gauge    // per spout (transport plane)
-	publishStall []*telemetry.Counter  // per spout (ring and transport planes)
+	ackWindow    []*telemetry.Gauge    // per spout
+	publishStall []*telemetry.Counter  // per spout
 	boltMsgs     []*telemetry.Counter  // per worker
-	acquireStall []*telemetry.Counter  // per worker (ring and transport planes)
+	acquireStall []*telemetry.Counter  // per worker
 	boltPartials *telemetry.Counter
 	reduceParts  []*telemetry.Counter // per shard
 	reduceBusy   []*telemetry.Counter // per shard
@@ -92,14 +90,10 @@ func newPlaneTelemetry(cfg Config) *planeTelemetry {
 	pt := &planeTelemetry{
 		reg: reg,
 		base: []telemetry.Label{
-			telemetry.L("engine", planeName(cfg.Dataplane)),
+			telemetry.L("engine", engineName(cfg.Transport)),
 			telemetry.L("algo", cfg.Algorithm),
 		},
 	}
-	// The transport plane polls its receive endpoints the way the ring
-	// plane polls its rings, so it reports the same stall series
-	// whatever Dataplane says.
-	ringish := cfg.Dataplane == DataplaneRing || cfg.Transport != TransportDirect
 	pt.recs = make([]*core.RouteRecorder, cfg.Sources)
 	pt.ackWait = make([]*telemetry.Counter, cfg.Sources)
 	pt.ackWindow = make([]*telemetry.Gauge, cfg.Sources)
@@ -108,21 +102,15 @@ func newPlaneTelemetry(cfg Config) *planeTelemetry {
 		ls := pt.with("spout", s)
 		pt.recs[s] = core.NewRouteRecorder(reg, ls...)
 		pt.ackWait[s] = reg.Counter("spout_ack_wait_ns_total", ls...)
-		if cfg.Transport != TransportDirect {
-			pt.ackWindow[s] = reg.Gauge("spout_ack_window", ls...)
-		}
-		if ringish {
-			pt.publishStall[s] = reg.Counter("publish_stall_ns_total", ls...)
-		}
+		pt.ackWindow[s] = reg.Gauge("spout_ack_window", ls...)
+		pt.publishStall[s] = reg.Counter("publish_stall_ns_total", ls...)
 	}
 	pt.boltMsgs = make([]*telemetry.Counter, cfg.Workers)
 	pt.acquireStall = make([]*telemetry.Counter, cfg.Workers)
 	for w := range pt.boltMsgs {
 		ls := pt.with("worker", w)
 		pt.boltMsgs[w] = reg.Counter("bolt_msgs_total", ls...)
-		if ringish {
-			pt.acquireStall[w] = reg.Counter("acquire_stall_ns_total", ls...)
-		}
+		pt.acquireStall[w] = reg.Counter("acquire_stall_ns_total", ls...)
 	}
 	if cfg.AggWindow > 0 {
 		pt.boltPartials = reg.Counter("bolt_partials_total", pt.base...)
@@ -158,9 +146,9 @@ func (pt *planeTelemetry) addAckWait(s int, d time.Duration) {
 }
 
 // setAckWindow publishes spout s's current (possibly adaptively grown)
-// in-flight ack window (transport plane only; nil-safe).
+// in-flight ack window (nil-safe).
 func (pt *planeTelemetry) setAckWindow(s int, win int64) {
-	if pt != nil && pt.ackWindow[s] != nil {
+	if pt != nil {
 		pt.ackWindow[s].SetInt(win)
 	}
 }
@@ -200,27 +188,14 @@ func (pt *planeTelemetry) addReduce(r, partials int, busy time.Duration) {
 	}
 }
 
-// observeChannelQueues registers per-bolt queue-depth gauges over the
-// channel plane's input channels (depth in tuple slabs).
-func (pt *planeTelemetry) observeChannelQueues(in []chan []tuple) {
+// observeQueues registers per-bolt queue-depth gauges over the
+// spout→bolt links, in[s][w] being source s's link into bolt w: the
+// messages waiting for bolt w, summed over sources.
+func (pt *planeTelemetry) observeQueues(in [][]*transport.Link) {
 	if pt == nil {
 		return
 	}
-	for w := range in {
-		ch := in[w]
-		pt.reg.GaugeFunc("queue_depth", func() float64 { return float64(len(ch)) }, pt.with("worker", w)...)
-	}
-}
-
-// observeRingQueues registers per-bolt queue-depth gauges over the ring
-// plane's (spout, bolt) rings (depth in tuples, summed over spouts).
-func (pt *planeTelemetry) observeRingQueues(in [][]*ring.SPSC[tuple]) {
-	if pt == nil {
-		return
-	}
-	workers := len(in[0])
-	for w := 0; w < workers; w++ {
-		w := w
+	for w := range in[0] {
 		pt.reg.GaugeFunc("queue_depth", func() float64 {
 			n := 0
 			for s := range in {

@@ -1,6 +1,7 @@
 package dspe
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -20,34 +21,31 @@ func sumSeries(snap telemetry.Snapshot, name string) (total float64, series int)
 	return total, series
 }
 
-func telemetryCfg(algo string, plane Dataplane) Config {
+func telemetryCfg(algo string) Config {
 	cfg := baseCfg(algo, 4, 2)
 	cfg.ServiceTime = 0
-	cfg.Dataplane = plane
 	cfg.AggWindow = 256
 	cfg.AggShards = 2
 	cfg.Telemetry = telemetry.NewRegistry()
 	return cfg
 }
 
-// TestTelemetryBothPlanes runs the aggregating topology on each
-// dataplane, and over both transport backends, with a registry
-// attached and checks every layer fed it: routing, data plane, bolts,
-// and the sharded reduce stage.
+// TestTelemetryBothPlanes runs the aggregating topology over both
+// transport backends with a registry attached and checks every layer
+// fed it: routing, links, bolts, and the sharded reduce stage, all
+// under the backend's engine label.
 func TestTelemetryBothPlanes(t *testing.T) {
 	const msgs = 6000
 	for _, tc := range []struct {
-		name  string
-		plane Dataplane
-		tr    Transport
+		name   string
+		tr     Transport
+		engine string
 	}{
-		{planeName(DataplaneChannel), DataplaneChannel, TransportDirect},
-		{planeName(DataplaneRing), DataplaneRing, TransportDirect},
-		{"mem-transport", DataplaneChannel, TransportMemory},
-		{"tcp-transport", DataplaneChannel, TransportTCP},
+		{"mem-transport", TransportMemory, "dspe-mem"},
+		{"tcp-transport", TransportTCP, "dspe-tcp"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := telemetryCfg("W-C", tc.plane)
+			cfg := telemetryCfg("W-C")
 			cfg.Transport = tc.tr
 			t0 := time.Now()
 			res, err := Run(zipfGen(1.2, 300, msgs), cfg)
@@ -60,6 +58,16 @@ func TestTelemetryBothPlanes(t *testing.T) {
 			}
 			snap := cfg.Telemetry.Snapshot()
 
+			// Every engine series carries the backend's engine label (the
+			// transport's own per-link series carry link= instead).
+			for _, m := range snap.Metrics {
+				if strings.HasPrefix(m.Name, "transport_") {
+					continue
+				}
+				if got := m.Label("engine"); got != tc.engine {
+					t.Fatalf("%s has engine=%q, want %q", m.Name, got, tc.engine)
+				}
+			}
 			// Routing: every message routed exactly once, across spouts.
 			if v, n := sumSeries(snap, "route_msgs_total"); v != msgs || n != cfg.Sources {
 				t.Fatalf("route_msgs_total = %v over %d series, want %d over %d", v, n, msgs, cfg.Sources)
@@ -71,21 +79,18 @@ func TestTelemetryBothPlanes(t *testing.T) {
 			if v, n := sumSeries(snap, "bolt_msgs_total"); int64(v) != res.Completed || n != cfg.Workers {
 				t.Fatalf("bolt_msgs_total = %v over %d series, want %d over %d", v, n, res.Completed, cfg.Workers)
 			}
-			if tc.tr == TransportDirect {
-				// Queue-depth gauges registered per worker (0 after drain).
-				if _, n := sumSeries(snap, "queue_depth"); n != cfg.Workers {
-					t.Fatalf("queue_depth series = %d, want %d", n, cfg.Workers)
-				}
-			} else {
-				// Publish stalls per spout; every TCP publish goes through
-				// SendSlab, which is clocked.
-				stall, n := sumSeries(snap, "publish_stall_ns_total")
-				if n != cfg.Sources {
-					t.Fatalf("publish_stall_ns_total series = %d, want %d", n, cfg.Sources)
-				}
-				if tc.tr == TransportTCP && stall <= 0 {
-					t.Fatal("publish_stall_ns_total not populated over TCP")
-				}
+			// Queue-depth gauges registered per worker (0 after drain).
+			if _, n := sumSeries(snap, "queue_depth"); n != cfg.Workers {
+				t.Fatalf("queue_depth series = %d, want %d", n, cfg.Workers)
+			}
+			// Publish stalls per spout; every TCP publish goes through
+			// SendSlab, which is clocked.
+			stall, n := sumSeries(snap, "publish_stall_ns_total")
+			if n != cfg.Sources {
+				t.Fatalf("publish_stall_ns_total series = %d, want %d", n, cfg.Sources)
+			}
+			if tc.tr == TransportTCP && stall <= 0 {
+				t.Fatal("publish_stall_ns_total not populated over TCP")
 			}
 			if tc.tr == TransportMemory {
 				// Bolts share executors, whose idle backoff is charged to
@@ -111,10 +116,10 @@ func TestTelemetryBothPlanes(t *testing.T) {
 			if int64(reduced) != res.Agg.Partials {
 				t.Fatalf("reduce_partials_total = %v, result merged %d", reduced, res.Agg.Partials)
 			}
-			if tc.plane == DataplaneRing && reduced > float64(res.AggBoltPartials) {
-				t.Fatalf("combiner tree cannot amplify: reduced %v > flushed %d", reduced, res.AggBoltPartials)
+			if reduced > float64(res.AggBoltPartials) {
+				t.Fatalf("combiner root cannot amplify: reduced %v > flushed %d", reduced, res.AggBoltPartials)
 			}
-			if tc.tr != TransportDirect && res.Agg.Partials != res.Agg.Finals {
+			if res.Agg.Partials != res.Agg.Finals {
 				t.Fatalf("reducers merged %d partials for %d finals (combiner root must merge one per final)",
 					res.Agg.Partials, res.Agg.Finals)
 			}
@@ -139,7 +144,7 @@ func TestTelemetryBothPlanes(t *testing.T) {
 // telemetry field means every hook is a nil-receiver no-op and results
 // are unchanged.
 func TestTelemetryOffAddsNothing(t *testing.T) {
-	cfg := telemetryCfg("D-C", DataplaneRing)
+	cfg := telemetryCfg("D-C")
 	cfg.Telemetry = nil
 	res, err := Run(zipfGen(1.2, 300, 2000), cfg)
 	if err != nil {
@@ -154,7 +159,7 @@ func TestTelemetryOffAddsNothing(t *testing.T) {
 // run — the registry hot path and the gauge funcs must tolerate being
 // read mid-flight (the soak harness does exactly this).
 func TestTelemetrySnapshotDuringRun(t *testing.T) {
-	cfg := telemetryCfg("W-C", DataplaneRing)
+	cfg := telemetryCfg("W-C")
 	cfg.ServiceTime = 50 * time.Microsecond
 	stop := make(chan struct{})
 	snapped := make(chan struct{})

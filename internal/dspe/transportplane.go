@@ -14,17 +14,15 @@ import (
 	"slb/internal/transport"
 )
 
-// transportplane.go runs the topology over the internal/transport edge
-// fabric: every spout→bolt and bolt→reducer hop is a named transport
-// link instead of an in-process channel or ring. With the memory
-// backend this is the ring dataplane's data path behind the Transport
-// interface (one SPSC ring per edge, slab sends, polling consumers);
-// with the TCP backend every hop additionally crosses a loopback
-// socket through the varint frame codec, which is what makes the
-// network's cost measurable against the in-process planes.
+// transportplane.go is Run's topology: every spout→bolt and
+// bolt→reducer hop is a named internal/transport link. On the memory
+// backend a link is one SPSC ring (slab sends, polling consumers, and a
+// zero-copy Grant/Publish path the spouts write messages through); on
+// the TCP backend every hop additionally crosses a loopback socket
+// through the columnar frame codec, which is what makes the network's
+// cost measurable.
 //
-// Aggregation runs through a combiner ROOT per reducer shard (the
-// ring plane's shard root, without its interior fan-in nodes): bolt
+// Aggregation runs through a combiner ROOT per reducer shard: bolt
 // partials travel to the shards with their worker identity intact on
 // the wire, each shard records every slab's (window, key, worker)
 // replica triples on receipt, folds the partials into an
@@ -32,8 +30,9 @@ import (
 // complete — so the driver merges exactly one combined partial per
 // (window, key) instead of one per (window, key, worker), and the
 // merge cost drops from the replication factor to 1. Bolts keep no
-// driver state. Finals and replication are bit-equal to both
-// in-process planes at Sources=1, pinned by TestTransportPlaneParity.
+// driver state. Finals equal a sequential per-(window, key) fold of
+// the stream on both backends, and at Sources=1 replication equals
+// eventsim's, pinned by TestTransportPlaneParity.
 //
 // Bolts are TASKS, not goroutines. Each bolt's state lives in a bolt
 // value whose poll sweeps its input links once without blocking; E
@@ -50,11 +49,11 @@ import (
 // and acks are the same either way, and so are the results.
 //
 // Control stays in-process by design: the per-source in-flight window
-// (ack semantics) is the ring plane's padded atomic counter, and
-// window-completeness thresholds are counted at the spouts
-// (ObserveEmits) exactly as in both other planes. The transport
-// models the DATA hops — the paper's serialization/framing/link cost —
-// not a distributed control protocol.
+// (ack semantics) is a padded atomic counter, and window-completeness
+// thresholds are counted at the spouts (ObserveEmits) before any
+// message of the slab is sent. The transport models the DATA hops —
+// the paper's serialization/framing/link cost — not a distributed
+// control protocol.
 //
 // Over TCP the fixed default window (100) is ack-latency bound: each
 // burst waits out a loopback round trip before the next can start. When
@@ -64,7 +63,7 @@ import (
 // adaptiveWindowMax — converging on a depth where the pipe stays full
 // without the caller having to know the link's bandwidth-delay product.
 // An explicitly set Window is always honored as a fixed cap (the
-// `transport` experiment pins Window=4096 on every plane so its A/B
+// `transport` experiment pins Window=4096 on both backends so its A/B
 // stays one). Window depth never changes results: each spout routes its
 // own stream deterministically, so finals and replication stay
 // bit-equal regardless of ack timing.
@@ -74,17 +73,51 @@ import (
 // windows only add buffer bloat.
 const adaptiveWindowMax = 8192
 
-// msgOf packs one in-flight tuple into the wire shape. emit is the
-// spout timestamp in ns for latency-sampled tuples, 0 otherwise.
-func msgOf(tp *tuple, emit int64) transport.Msg {
-	return transport.Msg{
-		Dig:    uint64(tp.dig),
-		Window: tp.window,
-		Weight: tp.val,
-		Emit:   emit,
-		Src:    tp.src,
-		Key:    tp.key,
+// partialRingCap sizes the bolt→shard links: large enough that a whole
+// window flush usually publishes without waiting, small enough to keep
+// the receive rings resident.
+const partialRingCap = 1024
+
+// latSampleMask subsamples the per-message latency instrumentation: one
+// message in 8 is clocked (spout timestamp, bolt nanotime) and fed to
+// the quantile sketch. The percentiles are statistical estimates either
+// way (the sketch subsamples internally past its capacity); clocking
+// every message would spend two nanotime reads per message. Loads and
+// Completed still count every message.
+const latSampleMask = 7
+
+// ringCapFor sizes the spout→bolt links: at least two full in-flight
+// windows so a spout is never throttled by link capacity before the ack
+// window throttles it, and at least two slabs.
+func ringCapFor(cfg Config) int {
+	c := 2 * cfg.Window
+	if b := 2 * cfg.Batch; b > c {
+		c = b
 	}
+	if c < 64 {
+		c = 64
+	}
+	return c
+}
+
+// backoff yields after a fruitless poll, escalating from Gosched to a
+// short sleep so idle goroutines (an executor whose bolts the
+// partitioner starves, a shard between flushes) do not burn a core.
+// Callers reset *spins to 0 on progress.
+func backoff(spins *int) {
+	*spins++
+	if *spins < 256 {
+		runtime.Gosched()
+		return
+	}
+	time.Sleep(20 * time.Microsecond)
+}
+
+// inflightCounter is one source's atomic in-flight window, padded so
+// the counters of different sources never share a cache line.
+type inflightCounter struct {
+	n atomic.Int64
+	_ [56]byte
 }
 
 // partialMsg packs one bolt partial into the wire shape.
@@ -144,8 +177,8 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 	}
 	defer fabric.Close()
 
-	// Spout→bolt links: one per (source, bolt) pair, so each link is
-	// SPSC like the ring plane's edges. Bolt→shard links likewise.
+	// Spout→bolt links: one per (source, bolt) pair, so each link has
+	// one producer and one consumer. Bolt→shard links likewise.
 	// When the ack window may grow adaptively, the receive rings are
 	// deepened so the grown window — not ring capacity — bounds the
 	// in-flight depth (skew can concentrate a whole window on one edge).
@@ -162,6 +195,7 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 			}
 		}
 	}
+	pt.observeQueues(in)
 	var boltOut [][]*transport.Link
 	if agg {
 		boltOut = make([][]*transport.Link, cfg.Workers)
@@ -216,37 +250,13 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 		}
 		for r := 0; r < shards; r++ {
 			reduceWG.Add(1)
+			legs := make([]*transport.Link, cfg.Workers)
+			for w := range legs {
+				legs[w] = boltOut[w][r]
+			}
 			go func(r int) {
 				defer reduceWG.Done()
-				// One receive leg per bolt. Each slab's partials are
-				// rebuilt with the worker id they carried on the wire,
-				// their replica triples recorded (one lock per slab), and
-				// then folded into the shard's combiner root.
-				buf := make([]transport.Msg, 256)
-				slab := make([]aggregation.Partial, 0, len(buf))
-				reduceBusy[r] = combineRoot(cfg, sd, r, cfg.Workers, func(w int, comb *aggregation.Combiner) (int, bool) {
-					n, done := boltOut[w][r].RecvSlab(buf)
-					if n == 0 {
-						return 0, done
-					}
-					slab = slab[:0]
-					for i := range buf[:n] {
-						m := &buf[i]
-						slab = append(slab, aggregation.Partial{
-							Window: m.Window,
-							Digest: aggregation.KeyDigest(m.Dig),
-							Key:    m.Key,
-							Count:  m.Weight,
-							Val:    aggregation.Value{m.Val0, m.Val1},
-							Worker: m.Src,
-						})
-					}
-					sd.ObserveReplicas(r, slab)
-					for i := range slab {
-						comb.Fold(&slab[i])
-					}
-					return n, false
-				}, onFinal, pt)
+				reduceBusy[r] = combineRoot(cfg, sd, r, legs, onFinal, pt)
 			}(r)
 		}
 	}
@@ -389,7 +399,9 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 				if agg {
 					core.RouteBatchDigests(p, keys[:n], digs, dsts)
 					pt.recordRoute(s, p, n, time.Since(t0))
-					// Thresholds before visibility, as in the other planes.
+					// Count the slab toward its windows' per-shard completeness
+					// thresholds BEFORE any of its messages is sent: a threshold
+					// must never lag a mergeable partial. No-op with one shard.
 					sd.ObserveEmits(base, digs[:n])
 					if cw := (base + int64(n) - 1) / cfg.AggWindow; cw > tickedWindow.Load() {
 						for {
@@ -427,26 +439,28 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 				// buffer). Clocked only with telemetry on.
 				var stall time.Duration
 				for i := 0; i < n; i++ {
-					tp := tuple{key: keys[i], src: int32(s)}
+					// With aggregation on, a message carries its window id, the
+					// digest routing computed, and the merger sample (see
+					// Config.AggValue for the contract).
+					m := transport.Msg{Key: keys[i], Src: int32(s)}
 					if agg {
-						tp.window = (base + int64(i)) / cfg.AggWindow
-						tp.dig = digs[i]
-						tp.val = 1
+						m.Window = (base + int64(i)) / cfg.AggWindow
+						m.Dig = uint64(digs[i])
+						m.Weight = 1
 						if cfg.AggValue != nil {
-							tp.val = cfg.AggValue(keys[i], base+int64(i))
+							m.Weight = cfg.AggValue(keys[i], base+int64(i))
 						} else if vals != nil {
-							tp.val = vals[i]
+							m.Weight = vals[i]
 						}
 					}
-					emit := int64(0)
 					if seq&latSampleMask == 0 {
-						emit = now
+						m.Emit = now
 					}
 					seq++
 					w := dsts[i]
 					g := granters[w]
 					if g == nil {
-						pend[w] = append(pend[w], msgOf(&tp, emit))
+						pend[w] = append(pend[w], m)
 						continue
 					}
 					if used[w] == len(open[w]) {
@@ -477,7 +491,7 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 							break
 						}
 					}
-					open[w][used[w]] = msgOf(&tp, emit)
+					open[w][used[w]] = m
 					used[w]++
 				}
 				for w := range pend {
@@ -660,8 +674,11 @@ func (b *bolt) poll() (progressed, done bool) {
 		for i := 0; i < n; i++ {
 			m := &b.buf[i]
 			if m.Src < 0 {
-				// Watermark tick: flush with one window of slack,
-				// exactly as the other planes. No ack.
+				// Watermark tick: the global emission sequence entered
+				// window m.Window, so (with one window of slack, as on the
+				// data path below) older windows are complete at this bolt
+				// even if it never sees another message. No ack: ticks
+				// occupy no in-flight window slots.
 				if b.acc != nil {
 					b.flushClosed(m.Window - 1)
 				}
@@ -670,6 +687,10 @@ func (b *bolt) poll() (progressed, done bool) {
 			simulateWork(b.svc, b.spin)
 			if b.acc != nil {
 				if wm, ok := b.acc.Watermark(); ok && m.Window > wm {
+					// Watermark advance: flush with one window of slack, so
+					// slabs from lagging spouts (bounded reordering: at most
+					// one drawn-but-unsent slab per spout) do not fragment a
+					// window already flushed.
 					b.flushClosed(m.Window - 1)
 				}
 				b.acc.AddSample(m.Window, core.KeyDigest(m.Dig), m.Key, 1, m.Weight)
@@ -701,10 +722,9 @@ func (b *bolt) poll() (progressed, done bool) {
 }
 
 // flushClosed closes windows below `before` and sends each partial to
-// its shard — worker identity intact, merged (and its replica observed)
-// at the reducer, exactly the channel plane's division of labor. Each
-// touched link is flushed so window finals never sit in a coalescing
-// buffer.
+// its shard with its worker identity intact: the replica is observed,
+// and the partial merged, at the shard. Each touched link is flushed so
+// window finals never sit in a coalescing buffer.
 func (b *bolt) flushClosed(before int64) {
 	b.scratch = b.acc.FlushBefore(before, b.scratch[:0])
 	b.pt.addBoltPartials(len(b.scratch))
@@ -728,23 +748,30 @@ func (b *bolt) flushClosed(before int64) {
 	}
 }
 
-// combineRoot is shard r's reduce loop, shared by the ring and
-// transport planes: the root of the shard's combiner tree. recv polls
-// input leg i (0 ≤ i < legs), folds whatever the leg has ready into
-// comb and returns how many partials it folded, or 0 and whether the
-// leg is drained for good. After every productive sweep the root hands
-// the shard's driver each window the moment it is provably complete, so
-// the driver merges exactly one combined partial per (window, key); at
-// end of stream it flushes the remainder and closes the shard. The
-// simulated per-partial merge cost (Config.AggMergeCost) is charged per
-// combined partial the driver merges — the shard hop's actual traffic —
-// and settled as debt in ≥ 1 ms chunks (see the channel plane for why).
-// Returns the busy time (receiving, folding, flushing, merging) for the
-// utilization report.
-func combineRoot(cfg Config, sd *aggregation.ShardedDriver, r, legs int, recv func(i int, comb *aggregation.Combiner) (n int, done bool), onFinal func(aggregation.Final), pt *planeTelemetry) time.Duration {
+// combineRoot is shard r's reduce goroutine: the combiner root over
+// legs, where legs[w] is bolt w's link into the shard. Each received
+// slab's partials are rebuilt with the worker id they carried on the
+// wire, their replica triples recorded (one lock per slab), and folded
+// into the shard's combiner. After every productive sweep the root
+// hands the shard's driver each window the moment it is provably
+// complete, so the driver merges exactly one combined partial per
+// (window, key); at end of stream it flushes the remainder and closes
+// the shard.
+//
+// The simulated per-partial merge cost (Config.AggMergeCost) is charged
+// per combined partial the driver merges — the shard hop's actual
+// traffic — as a DEBT settled in ≥ 1 ms chunks, each settlement's
+// measured oversleep credited back: per-slab sleeps would bottom out at
+// the timer floor and charge every shard the slab COUNT (which sharding
+// does not reduce — each bolt flush sends one slab per shard) instead
+// of the partial count (which it does). Returns the busy time
+// (receiving, folding, flushing, merging) for the utilization report.
+func combineRoot(cfg Config, sd *aggregation.ShardedDriver, r int, legs []*transport.Link, onFinal func(aggregation.Final), pt *planeTelemetry) time.Duration {
 	comb := aggregation.NewCombiner(sd, r)
-	drained := make([]bool, legs)
-	remaining := legs
+	buf := make([]transport.Msg, 256)
+	slab := make([]aggregation.Partial, 0, len(buf))
+	drained := make([]bool, len(legs))
+	remaining := len(legs)
 	var busy, debt time.Duration
 	var charged int64   // combined partials already charged to the debt
 	var published int64 // combined partials already published to telemetry
@@ -775,16 +802,35 @@ func combineRoot(cfg Config, sd *aggregation.ShardedDriver, r, legs int, recv fu
 	for remaining > 0 {
 		t0 := time.Now()
 		progressed := false
-		for i := 0; i < legs; i++ {
-			if drained[i] {
+		for w, l := range legs {
+			if drained[w] {
 				continue
 			}
-			if n, done := recv(i, comb); n > 0 {
-				progressed = true
-			} else if done {
-				drained[i] = true
-				remaining--
-				progressed = true
+			n, done := l.RecvSlab(buf)
+			if n == 0 {
+				if done {
+					drained[w] = true
+					remaining--
+					progressed = true
+				}
+				continue
+			}
+			progressed = true
+			slab = slab[:0]
+			for i := range buf[:n] {
+				m := &buf[i]
+				slab = append(slab, aggregation.Partial{
+					Window: m.Window,
+					Digest: aggregation.KeyDigest(m.Dig),
+					Key:    m.Key,
+					Count:  m.Weight,
+					Val:    aggregation.Value{m.Val0, m.Val1},
+					Worker: m.Src,
+				})
+			}
+			sd.ObserveReplicas(r, slab)
+			for i := range slab {
+				comb.Fold(&slab[i])
 			}
 		}
 		if !progressed {

@@ -8,17 +8,115 @@ import (
 	"time"
 
 	"slb/internal/aggregation"
+	"slb/internal/eventsim"
+	"slb/internal/stream"
 	"slb/internal/transport"
 	"slb/internal/workload"
 )
 
-// TestTransportPlaneParity pins the transport tentpole's correctness
-// contract: both transport backends (memory links and loopback TCP)
-// must produce bit-equal finals AND bit-equal replication factors to
-// the direct channel dataplane. Replication is compared with a single
-// source, where routing — and therefore the (window, key, worker)
-// triples — is deterministic. The shard roots' combiner cut is pinned
-// too: one merged partial per (window, key).
+// transports lists both link backends; every exactness property must
+// hold on each.
+var transports = []struct {
+	name string
+	sel  Transport
+}{{"memory", TransportMemory}, {"tcp", TransportTCP}}
+
+// collectFinals runs the topology and returns every final keyed by
+// (window, key), plus the result. The engine serializes OnFinal, so the
+// map needs no lock.
+func collectFinals(t *testing.T, cfg Config, gen *workload.Zipf) (map[string][2]int64, Result) {
+	t.Helper()
+	finals := make(map[string][2]int64)
+	cfg.OnFinal = func(f aggregation.Final) {
+		id := fmt.Sprintf("%d|%s", f.Window, f.Key)
+		if _, dup := finals[id]; dup {
+			t.Errorf("duplicate final for %s", id)
+		}
+		finals[id] = [2]int64{f.Count, f.Value}
+	}
+	res, err := Run(gen, cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return finals, res
+}
+
+// truthFinals is the single-node reference for collectFinals: gen's
+// stream folded sequentially per (window, key), window = emission
+// index / window, through merger (nil means CountMerger) over the
+// samples value derives (nil means 1).
+func truthFinals(gen stream.Generator, window int64, merger aggregation.Merger, value func(string, int64) int64) map[string][2]int64 {
+	if merger == nil {
+		merger = aggregation.CountMerger
+	}
+	type entry struct {
+		n int64
+		v aggregation.Value
+	}
+	entries := make(map[string]*entry)
+	gen.Reset()
+	for seq := int64(0); ; seq++ {
+		k, ok := gen.Next()
+		if !ok {
+			break
+		}
+		sample := int64(1)
+		if value != nil {
+			sample = value(k, seq)
+		}
+		id := fmt.Sprintf("%d|%s", seq/window, k)
+		e := entries[id]
+		if e == nil {
+			e = &entry{}
+			entries[id] = e
+		}
+		merger.Observe(&e.v, sample, 1)
+		e.n++
+	}
+	gen.Reset()
+	truth := make(map[string][2]int64, len(entries))
+	for id, e := range entries {
+		truth[id] = [2]int64{e.n, merger.Result(e.v)}
+	}
+	return truth
+}
+
+// checkFinals fails the test unless got holds exactly want's finals.
+func checkFinals(t *testing.T, what string, got, want map[string][2]int64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d finals, want %d", what, len(got), len(want))
+	}
+	for id, w := range want {
+		if g, ok := got[id]; !ok || g != w {
+			t.Fatalf("%s: final %s = %v (present=%v), want %v", what, id, g, ok, w)
+		}
+	}
+}
+
+// eventsimReplication is the deterministic engine's replication factor
+// for cfg's aggregating topology with a single source, where routing —
+// and therefore the (window, key, worker) triples — is deterministic
+// and engine-independent.
+func eventsimReplication(t *testing.T, cfg Config, gen stream.Generator) float64 {
+	t.Helper()
+	res, err := eventsim.Run(gen, eventsim.Config{
+		Workers: cfg.Workers, Sources: 1, Algorithm: cfg.Algorithm,
+		Core: cfg.Core, ServiceTime: 1.0, Messages: cfg.Messages,
+		AggWindow: cfg.AggWindow, AggShards: cfg.AggShards,
+	})
+	if err != nil {
+		t.Fatalf("eventsim.Run: %v", err)
+	}
+	return res.AggReplication
+}
+
+// TestTransportPlaneParity pins the engine's correctness contract on
+// both backends (memory links and loopback TCP): finals bit-equal to a
+// sequential per-(window, key) fold of the stream, and — with a single
+// source — a replication factor bit-equal to eventsim's. The shard
+// roots' combiner cut is pinned too: one merged partial per (window,
+// key).
 func TestTransportPlaneParity(t *testing.T) {
 	for _, algo := range []string{"KG", "W-C"} {
 		for _, shards := range []int{1, 3} {
@@ -31,28 +129,17 @@ func TestTransportPlaneParity(t *testing.T) {
 					AggShards: shards,
 					Messages:  20_000,
 				}
+				gen := func() *workload.Zipf { return workload.NewZipf(1.2, 300, 20_000, 7) }
+				want := truthFinals(gen(), base.AggWindow, nil, nil)
+				wantRepl := eventsimReplication(t, base, gen())
 
-				direct := base
-				direct.Dataplane = DataplaneChannel
-				dFinals, dRes := collectFinals(t, direct, workload.NewZipf(1.2, 300, 20_000, 7))
-
-				for _, tp := range []struct {
-					name string
-					sel  Transport
-				}{{"memory", TransportMemory}, {"tcp", TransportTCP}} {
+				for _, tp := range transports {
 					cfg := base
 					cfg.Transport = tp.sel
-					finals, res := collectFinals(t, cfg, workload.NewZipf(1.2, 300, 20_000, 7))
-					if len(finals) != len(dFinals) {
-						t.Fatalf("%s: final count differs: direct %d, transport %d", tp.name, len(dFinals), len(finals))
-					}
-					for id, want := range dFinals {
-						if got, ok := finals[id]; !ok || got != want {
-							t.Fatalf("%s: final %s: direct %v, transport %v (present=%v)", tp.name, id, want, got, ok)
-						}
-					}
-					if res.AggReplication != dRes.AggReplication {
-						t.Errorf("%s: replication differs: direct %v, transport %v", tp.name, dRes.AggReplication, res.AggReplication)
+					finals, res := collectFinals(t, cfg, gen())
+					checkFinals(t, tp.name, finals, want)
+					if res.AggReplication != wantRepl {
+						t.Errorf("%s: replication differs: eventsim %v, dspe %v", tp.name, wantRepl, res.AggReplication)
 					}
 					if res.Completed != 20_000 || res.AggTotal != 20_000 {
 						t.Errorf("%s: completed/total: %d/%d, want 20000/20000", tp.name, res.Completed, res.AggTotal)
@@ -76,8 +163,9 @@ func TestTransportPlaneParity(t *testing.T) {
 }
 
 // TestTransportPlaneMultiSource relaxes to what stays deterministic
-// under concurrent spouts — the finals — and checks them bit-equal
-// between the direct plane and the TCP transport.
+// under concurrent spouts — the finals (window membership follows the
+// global emission sequence regardless of which spout draws a slab) —
+// and checks them against the sequential fold on both backends.
 func TestTransportPlaneMultiSource(t *testing.T) {
 	base := Config{
 		Workers:   10,
@@ -87,24 +175,16 @@ func TestTransportPlaneMultiSource(t *testing.T) {
 		AggShards: 2,
 		Messages:  18_000,
 	}
-	direct := base
-	direct.Dataplane = DataplaneChannel
-	dFinals, dRes := collectFinals(t, direct, workload.NewZipf(1.4, 200, 18_000, 11))
-
-	cfg := base
-	cfg.Transport = TransportTCP
-	finals, res := collectFinals(t, cfg, workload.NewZipf(1.4, 200, 18_000, 11))
-
-	if len(finals) != len(dFinals) {
-		t.Fatalf("final count differs: direct %d, tcp %d", len(dFinals), len(finals))
-	}
-	for id, want := range dFinals {
-		if got, ok := finals[id]; !ok || got != want {
-			t.Fatalf("final %s: direct %v, tcp %v (present=%v)", id, want, got, ok)
+	gen := func() *workload.Zipf { return workload.NewZipf(1.4, 200, 18_000, 11) }
+	want := truthFinals(gen(), base.AggWindow, nil, nil)
+	for _, tp := range transports {
+		cfg := base
+		cfg.Transport = tp.sel
+		finals, res := collectFinals(t, cfg, gen())
+		checkFinals(t, tp.name, finals, want)
+		if res.AggTotal != 18_000 {
+			t.Errorf("%s: total %d, want 18000", tp.name, res.AggTotal)
 		}
-	}
-	if dRes.AggTotal != 18_000 || res.AggTotal != 18_000 {
-		t.Errorf("totals: direct %d, tcp %d, want 18000", dRes.AggTotal, res.AggTotal)
 	}
 }
 
@@ -112,10 +192,7 @@ func TestTransportPlaneMultiSource(t *testing.T) {
 // topology over both transport backends: every message is processed
 // exactly once.
 func TestTransportPlaneNoAgg(t *testing.T) {
-	for _, tp := range []struct {
-		name string
-		sel  Transport
-	}{{"memory", TransportMemory}, {"tcp", TransportTCP}} {
+	for _, tp := range transports {
 		t.Run(tp.name, func(t *testing.T) {
 			res, err := Run(workload.NewZipf(1.1, 500, 15_000, 5), Config{
 				Workers:   6,
@@ -141,13 +218,14 @@ func TestTransportPlaneNoAgg(t *testing.T) {
 	}
 }
 
-// TestTransportPlaneFaultParity is the tentpole's exactness pin: a
+// TestTransportPlaneFaultParity is the exactness pin under faults: a
 // topology run whose transport suffers deterministic chaos — at least
 // 1% of sender-side buffer writes dropped and every data link severed
-// at least once — must produce finals and replication factors
-// bit-equal to the fault-free direct plane. Both transport backends
-// are exercised; the single-source case also compares replication
-// (deterministic routing), the multi-source case compares finals.
+// at least once — must still produce finals bit-equal to the
+// sequential fold of the stream. Both transport backends are
+// exercised; the single-source case also compares replication with
+// eventsim's (deterministic routing), the multi-source case compares
+// finals.
 func TestTransportPlaneFaultParity(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -162,14 +240,14 @@ func TestTransportPlaneFaultParity(t *testing.T) {
 				AggShards: 2,
 				Messages:  12_000,
 			}
-			direct := base
-			direct.Dataplane = DataplaneChannel
-			dFinals, dRes := collectFinals(t, direct, workload.NewZipf(1.2, 250, 12_000, 7))
+			gen := func() *workload.Zipf { return workload.NewZipf(1.2, 250, 12_000, 7) }
+			want := truthFinals(gen(), base.AggWindow, nil, nil)
+			var wantRepl float64
+			if tc.sources == 1 {
+				wantRepl = eventsimReplication(t, base, gen())
+			}
 
-			for _, tp := range []struct {
-				name string
-				sel  Transport
-			}{{"memory", TransportMemory}, {"tcp", TransportTCP}} {
+			for _, tp := range transports {
 				t.Run(tp.name, func(t *testing.T) {
 					var faults map[string]transport.ChaosLinkStats
 					cfg := base
@@ -178,18 +256,11 @@ func TestTransportPlaneFaultParity(t *testing.T) {
 					// so every link that makes two is guaranteed a sever.
 					cfg.Chaos = &transport.ChaosConfig{Seed: 23, DropOneIn: 4, SeverEvery: 2}
 					cfg.OnFaultStats = func(st map[string]transport.ChaosLinkStats) { faults = st }
-					finals, res := collectFinals(t, cfg, workload.NewZipf(1.2, 250, 12_000, 7))
+					finals, res := collectFinals(t, cfg, gen())
 
-					if len(finals) != len(dFinals) {
-						t.Fatalf("final count differs: fault-free %d, chaos %d", len(dFinals), len(finals))
-					}
-					for id, want := range dFinals {
-						if got, ok := finals[id]; !ok || got != want {
-							t.Fatalf("final %s: fault-free %v, chaos %v (present=%v)", id, want, got, ok)
-						}
-					}
-					if tc.sources == 1 && res.AggReplication != dRes.AggReplication {
-						t.Errorf("replication differs: fault-free %v, chaos %v", dRes.AggReplication, res.AggReplication)
+					checkFinals(t, "chaos", finals, want)
+					if tc.sources == 1 && res.AggReplication != wantRepl {
+						t.Errorf("replication differs: eventsim %v, chaos %v", wantRepl, res.AggReplication)
 					}
 					if res.Completed != 12_000 || res.AggTotal != 12_000 {
 						t.Errorf("completed/total: %d/%d, want 12000/12000", res.Completed, res.AggTotal)
@@ -274,22 +345,9 @@ func TestTransportPlaneGroundTruthAtScale(t *testing.T) {
 	gen := func() *workload.Zipf { return workload.NewZipf(2.0, 10_000, msgs, 13) }
 	value := func(_ string, seq int64) int64 { return seq%7 + 1 }
 
-	want := make(map[string][2]int64)
-	g := gen()
-	for seq := int64(0); ; seq++ {
-		k, ok := g.Next()
-		if !ok {
-			break
-		}
-		id := fmt.Sprintf("%d|%s", seq/window, k)
-		f := want[id]
-		want[id] = [2]int64{f[0] + 1, f[1] + value(k, seq)}
-	}
+	want := truthFinals(gen(), window, aggregation.SumMerger, value)
 
-	for _, tp := range []struct {
-		name string
-		sel  Transport
-	}{{"memory", TransportMemory}, {"tcp", TransportTCP}} {
+	for _, tp := range transports {
 		t.Run(tp.name, func(t *testing.T) {
 			if tp.sel == TransportTCP && raceBuild {
 				// ~2300 link goroutines push the race detector past 2 GB;
@@ -310,14 +368,7 @@ func TestTransportPlaneGroundTruthAtScale(t *testing.T) {
 				Transport: tp.sel,
 			}
 			finals, res := collectFinals(t, cfg, gen())
-			if len(finals) != len(want) {
-				t.Fatalf("%d finals, want %d", len(finals), len(want))
-			}
-			for id, w := range want {
-				if got, ok := finals[id]; !ok || got != w {
-					t.Fatalf("final %s = %v (present=%v), want %v", id, got, ok, w)
-				}
-			}
+			checkFinals(t, tp.name, finals, want)
 			if res.Completed != msgs || res.AggTotal != msgs {
 				t.Errorf("completed/total: %d/%d, want %d/%d", res.Completed, res.AggTotal, msgs, msgs)
 			}
@@ -388,5 +439,53 @@ func TestExecutorCount(t *testing.T) {
 		if got := executorCount(Config{Workers: tc.workers, ServiceTime: tc.svc}); got != tc.want {
 			t.Errorf("executorCount(Workers=%d, ServiceTime=%v) = %d, want %d", tc.workers, tc.svc, got, tc.want)
 		}
+	}
+}
+
+// mallocsForRun measures the cumulative allocation count of one run of
+// m messages over memory links.
+func mallocsForRun(t *testing.T, m int64) uint64 {
+	t.Helper()
+	gen := workload.NewZipf(1.3, 200, m, 9)
+	cfg := Config{
+		Workers:   8,
+		Sources:   2,
+		Algorithm: "W-C",
+		AggWindow: 500,
+		AggShards: 2,
+		Messages:  m,
+		Transport: TransportMemory,
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(gen, cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestRingDataplaneAllocsSublinear extends the 0 allocs/op discipline
+// to the whole message path of the ring-backed memory transport:
+// spouts build messages in granted ring slots, bolts and shard roots
+// poll them out of the rings, and partial tables are recycled, so a
+// longer run must not allocate proportionally more. The per-run fixed
+// cost (links, partitioners, reservoirs, goroutines) cancels in the
+// difference; the marginal cost per extra message must be ~0 (the
+// bound leaves slack for per-window bookkeeping rows, which grow with
+// windows, not messages).
+func TestRingDataplaneAllocsSublinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting run")
+	}
+	const m1, m2 = 20_000, 120_000
+	a1 := mallocsForRun(t, m1)
+	a2 := mallocsForRun(t, m2)
+	extra := float64(a2) - float64(a1)
+	perMsg := extra / float64(m2-m1)
+	t.Logf("mallocs: %d @ %d msgs, %d @ %d msgs → %.4f allocs per extra message", a1, m1, a2, m2, perMsg)
+	if perMsg > 0.05 {
+		t.Fatalf("memory transport allocates %.4f per extra message, want ≤ 0.05", perMsg)
 	}
 }

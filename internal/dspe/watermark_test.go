@@ -19,7 +19,7 @@ import (
 // appears only in window 0; every other message uses filler keys that
 // KG routes to other bolts, so the trickle bolt goes silent after
 // window 0. Without ticks, its window-0 partial would flush only when
-// its input channel closes — after the whole stream — and window 0
+// its input links close — after the whole stream — and window 0
 // would be among the LAST windows the reducer completes. With ticks it
 // flushes as soon as the stream enters window 2, so window 0's finals
 // appear in the reducer's (single-goroutine, hence well-ordered) output

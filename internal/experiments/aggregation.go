@@ -123,7 +123,7 @@ func AggregationOverhead(sc Scale) ([]*texttab.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			evt.Add(aggRow(win, algo, res.Throughput, evtBase[algo], res.Agg, res.AggReplication, res.ReducerUtil)...)
+			evt.Add(aggRow(win, algo, res.Throughput, evtBase[algo], res.Agg.Partials, res.Agg, res.AggReplication, res.ReducerUtil)...)
 		}
 	}
 
@@ -141,7 +141,6 @@ func AggregationOverhead(sc Scale) ([]*texttab.Table, error) {
 			// engine-bound, so the flush work itself is the visible cost.
 			ServiceTime: 0,
 			Window:      64,
-			QueueLen:    128,
 			AggWindow:   win,
 		})
 	}
@@ -160,7 +159,10 @@ func AggregationOverhead(sc Scale) ([]*texttab.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			live.Add(aggRow(win, algo, res.Throughput, liveBase[algo], res.Agg, res.AggReplication, res.AggReducerUtil)...)
+			// The traffic column counts what the bolts flushed: the
+			// shard roots merge it down to one partial per (window, key)
+			// for every algorithm before the reducers see it.
+			live.Add(aggRow(win, algo, res.Throughput, liveBase[algo], res.AggBoltPartials, res.Agg, res.AggReplication, res.AggReducerUtil)...)
 		}
 	}
 
@@ -286,8 +288,11 @@ const liveSweepMergeCost = 50 * time.Microsecond
 // shardSweepLive sweeps the reduce stage's shard count on the
 // goroutine runtime under a simulated per-partial merge cost
 // (wall-clock numbers: host-dependent, the speedup column is the
-// point). Messages are capped so the serialized R=1 row stays around a
-// second at Full scale.
+// point). Throughput is timed over the whole Run call, reducer drain
+// included: Result.Throughput stops at the bolts' drain, before the
+// reducers finish the buffered windows this sweep exists to measure.
+// Messages are capped so the serialized R=1 row stays around a second
+// at Full scale.
 func shardSweepLive(m int64) (*texttab.Table, error) {
 	if m > 60_000 {
 		m = 60_000
@@ -300,6 +305,7 @@ func shardSweepLive(m int64) (*texttab.Table, error) {
 	var thr1 float64
 	for _, r := range aggShardCounts {
 		gen := workload.NewZipf(aggSkew, ZFKeys, m, Seed)
+		t0 := time.Now()
 		res, err := dspe.Run(gen, dspe.Config{
 			Workers:      aggWorkers,
 			Sources:      aggSources,
@@ -307,7 +313,6 @@ func shardSweepLive(m int64) (*texttab.Table, error) {
 			Core:         core.Config{Seed: Seed, Epsilon: Epsilon},
 			ServiceTime:  0,
 			Window:       64,
-			QueueLen:     128,
 			AggWindow:    win,
 			AggShards:    r,
 			AggMergeCost: liveSweepMergeCost,
@@ -315,17 +320,18 @@ func shardSweepLive(m int64) (*texttab.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		thr := float64(res.Completed) / time.Since(t0).Seconds()
 		if r == 1 {
-			thr1 = res.Throughput
+			thr1 = thr
 		}
 		speedup := 0.0
 		if thr1 > 0 {
-			speedup = res.Throughput / thr1
+			speedup = thr / thr1
 		}
 		tab.Add(
 			fmt.Sprintf("%d", r),
 			"W-C",
-			fmt.Sprintf("%.0f", res.Throughput),
+			fmt.Sprintf("%.0f", thr),
 			fmt.Sprintf("%.2f", speedup),
 			fmt.Sprintf("%.3f", res.AggReducerUtil),
 			fmt.Sprintf("%.3f", res.AggReducerUtilMean),
@@ -334,15 +340,16 @@ func shardSweepLive(m int64) (*texttab.Table, error) {
 	return tab, nil
 }
 
-// aggRow renders one window-sweep row.
-func aggRow(win int64, algo string, thr, baseThr float64, st aggregation.ReducerStats, repl, util float64) []string {
+// aggRow renders one window-sweep row; partials is the aggregation
+// traffic the msgs/window column divides over st's closed windows.
+func aggRow(win int64, algo string, thr, baseThr float64, partials int64, st aggregation.ReducerStats, repl, util float64) []string {
 	delta := 0.0
 	if baseThr > 0 {
 		delta = 100 * (1 - thr/baseThr)
 	}
 	perWindow := 0.0
 	if st.WindowsClosed > 0 {
-		perWindow = float64(st.Partials) / float64(st.WindowsClosed)
+		perWindow = float64(partials) / float64(st.WindowsClosed)
 	}
 	return []string{
 		fmt.Sprintf("%d", win),

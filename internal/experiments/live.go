@@ -28,7 +28,7 @@ func (s Scale) liveMessages() int64 {
 
 // LiveFig13 runs the Fig 13 comparison on the concurrent goroutine
 // runtime (internal/dspe) instead of the discrete-event engine: real
-// channels, real clock, real contention. Numbers vary with the host,
+// links, real clock, real contention. Numbers vary with the host,
 // but the ordering (KG < PKG < D-C ≈ W-C ≈ SG) must match both the
 // paper and the deterministic engine. Scaled down relative to the
 // paper (n=16, 1 ms/msg) so a run takes seconds.
@@ -51,7 +51,6 @@ func LiveFig13(sc Scale) ([]*texttab.Table, error) {
 			Core:        core.Config{Seed: Seed, Epsilon: Epsilon},
 			ServiceTime: time.Millisecond,
 			Window:      64,
-			QueueLen:    128,
 		})
 		if err != nil {
 			return nil, err

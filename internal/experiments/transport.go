@@ -14,10 +14,10 @@ import (
 
 // Transport experiment parameters: the same deployment as the
 // aggregation experiment (n=16, s=8, z=1.4, R=4) so the numbers sit in
-// one family, with the in-flight window deepened to 4096 on every
-// plane — the default 100 makes a TCP run ack-latency bound (each
+// one family, with the in-flight window deepened to 4096 on both
+// backends — the default 100 makes a TCP run ack-latency bound (each
 // burst waits out a loopback syscall round trip), and the deeper
-// window is applied uniformly so the plane comparison stays an A/B.
+// window is applied uniformly so the backend comparison stays an A/B.
 const (
 	transShards = 4
 	transWindow = 4096
@@ -43,17 +43,14 @@ var transDelays = []float64{0, 0.2, 2}
 // directions.
 //
 // The first table runs the goroutine engine's W-C aggregation topology
-// over its three dataplanes — the direct SPSC ring plane, the
-// internal/transport memory backend (same rings behind the transport
-// interface), and loopback TCP with the columnar dictionary codec —
-// and reports wall-clock throughput plus the TCP wire's own ledger
-// (tx/rx bytes, bytes per message, frames, bytes/frame, flushes,
-// dictionary hit rate and epoch resets) from the per-link telemetry.
-// Finals
-// and replication are bit-equal across the three planes (pinned by
-// dspe's parity tests); what moves is only the transport cost, so the
-// memory row isolates the interface overhead and the TCP row the
-// framing + kernel socket cost.
+// over both transport backends — in-process memory links (the base
+// row) and loopback TCP with the columnar dictionary codec — and
+// reports wall-clock throughput plus the TCP wire's own ledger (tx/rx
+// bytes, bytes per message, frames, bytes/frame, flushes, dictionary
+// hit rate and epoch resets) from the per-link telemetry. Finals and
+// replication are the same on both backends (pinned by dspe's parity
+// tests); what moves is only the transport cost, so the TCP row's
+// ratio to the memory row is the framing + kernel socket cost.
 //
 // The second table degrades the TCP plane with the deterministic chaos
 // wrapper — dropped frames and severed connections at two loss levels —
@@ -80,20 +77,18 @@ func TransportExperiment(sc Scale) ([]*texttab.Table, error) {
 	live := texttab.New(fmt.Sprintf(
 		"Transport sweep (dspe, wall clock): W-C, n=%d, s=%d, z=%.1f, R=%d, m=%d, window=%d",
 		aggWorkers, aggSources, aggSkew, transShards, m, transWindow),
-		"plane", "events/s", "rel", "replication", "tx-MB", "rx-MB", "B/msg", "frames", "B/frame", "flushes", "dict-hit%", "resets")
-	planes := []struct {
+		"transport", "events/s", "rel", "replication", "tx-MB", "rx-MB", "B/msg", "frames", "B/frame", "flushes", "dict-hit%", "resets")
+	backends := []struct {
 		name string
-		dp   dspe.Dataplane
 		tr   dspe.Transport
 	}{
-		{"direct-ring", dspe.DataplaneRing, dspe.TransportDirect},
-		{"memory", dspe.DataplaneRing, dspe.TransportMemory},
-		{"tcp", dspe.DataplaneRing, dspe.TransportTCP},
+		{"memory", dspe.TransportMemory},
+		{"tcp", dspe.TransportTCP},
 	}
 	var base float64
-	for _, plane := range planes {
+	for _, backend := range backends {
 		var reg *telemetry.Registry
-		if plane.tr == dspe.TransportTCP {
+		if backend.tr == dspe.TransportTCP {
 			reg = telemetry.NewRegistry()
 		}
 		gen := workload.NewZipf(aggSkew, ZFKeys, m, Seed)
@@ -105,14 +100,13 @@ func TransportExperiment(sc Scale) ([]*texttab.Table, error) {
 			Window:    transWindow,
 			AggWindow: m / 50,
 			AggShards: transShards,
-			Dataplane: plane.dp,
-			Transport: plane.tr,
+			Transport: backend.tr,
 			Telemetry: reg,
 		})
 		if err != nil {
 			return nil, err
 		}
-		if plane.name == "direct-ring" {
+		if backend.tr == dspe.TransportMemory {
 			base = res.Throughput
 		}
 		rel := 0.0
@@ -140,7 +134,7 @@ func TransportExperiment(sc Scale) ([]*texttab.Table, error) {
 			resets = fmt.Sprintf("%.0f", sumCounter(reg, "transport_dict_resets_total"))
 		}
 		live.Add(
-			plane.name,
+			backend.name,
 			fmt.Sprintf("%.0f", res.Throughput),
 			fmt.Sprintf("%.2fx", rel),
 			fmt.Sprintf("%.4f", res.AggReplication),
@@ -181,7 +175,6 @@ func TransportExperiment(sc Scale) ([]*texttab.Table, error) {
 				Window:    transWindow,
 				AggWindow: m / 50,
 				AggShards: transShards,
-				Dataplane: dspe.DataplaneRing,
 				Transport: dspe.TransportTCP,
 				Telemetry: reg,
 				Chaos:     lvl.chaos,

@@ -4,8 +4,9 @@
 // cached-sequence fast path, and batched publish/consume operations.
 //
 // An SPSC ring replaces a Go channel on an edge that has exactly one
-// sender and one receiver — which is how the dspe ring dataplane wires
-// its topologies: one ring per (spout, bolt) and (bolt, combiner) edge.
+// sender and one receiver — which is how dspe wires its topologies: one
+// ring per spout→bolt and bolt→shard link of the memory transport, and
+// one per (sender, receiver) edge of Pipeline's ring plane.
 // On such an edge the ring needs no locks at all: the producer owns the
 // tail, the consumer owns the head, and each publishes its progress
 // with a single atomic store. The cached-sequence fast path (the

@@ -1,7 +1,7 @@
 // Package soak drives long-running drifting-workload runs across every
-// engine in the module — eventsim, the dspe channel plane, the dspe
-// ring plane and (with Config.TCP) the dspe engine over the loopback
-// TCP transport — while sampling each run's telemetry registry at a fixed
+// engine in the module — eventsim, the dspe engine over memory links
+// and (with Config.TCP) the dspe engine over the loopback TCP
+// transport — while sampling each run's telemetry registry at a fixed
 // wall-clock interval. It is the library behind cmd/slbsoak: the
 // paper's cluster evaluation reports imbalance, throughput and latency
 // CONTINUOUSLY over long skewed streams, and this harness is how the
@@ -12,7 +12,7 @@
 // rotates every epoch, stressing the partitioners' heavy-hitter
 // tracking). While a leg runs, its registry is snapshotted every
 // Interval and reduced to a Row — per-shard reducer utilization, queue
-// depths (ring occupancy on the ring plane), routing rates, stalls —
+// depths (messages waiting in the bolts' input links), routing rates, stalls —
 // which streams to the configured sink as it happens. Each leg also
 // emits a final drained row. Cycles repeat until Duration has elapsed
 // and MinCycles cycles have completed, so a run is useful from
@@ -44,14 +44,13 @@ import (
 // publishes.
 const (
 	EngineEventsim = "eventsim"
-	EngineChannel  = "dspe-channel"
-	EngineRing     = "dspe-ring"
+	EngineMem      = "dspe-mem"
 	EngineTCP      = "dspe-tcp"
 )
 
 // Engines lists every leg of one soak cycle, in execution order; the
 // loopback TCP transport leg joins when Config.TCP is set.
-var Engines = []string{EngineEventsim, EngineChannel, EngineRing}
+var Engines = []string{EngineEventsim, EngineMem}
 
 // Config describes one soak run.
 type Config struct {
@@ -95,7 +94,7 @@ type Config struct {
 	// AggWindow is the tumbling-window size of the two-phase
 	// aggregation every leg runs; 0 means 512.
 	AggWindow int64
-	// TCP adds a fourth leg to every cycle: the dspe engine over the
+	// TCP adds a third leg to every cycle: the dspe engine over the
 	// loopback TCP transport (internal/transport framing and per-link
 	// coalescing on every hop). It changes the configuration identity —
 	// baselines recorded without the leg are not comparable.
@@ -220,8 +219,8 @@ type Row struct {
 	RouteMsgs     int64   `json:"route_msgs"`
 	RouteNsPerMsg float64 `json:"route_ns_per_msg,omitempty"`
 	// QueueDepth sums the per-worker queue_depth gauges at sample
-	// time: channel backlog on the channel plane, ring occupancy (in
-	// tuples) on the ring plane, queued messages in eventsim.
+	// time: messages waiting in the bolts' input links on the dspe legs,
+	// queued messages in eventsim.
 	QueueDepth float64 `json:"queue_depth"`
 	// ReduceUtil is each reducer shard's busy fraction over the
 	// sampling interval (over the whole leg for the final row).
@@ -230,7 +229,7 @@ type Row struct {
 	ReduceUtil []float64 `json:"reduce_util"`
 	// ReduceOpenWindows sums the per-shard open-window gauges.
 	ReduceOpenWindows float64 `json:"reduce_open_windows"`
-	// PublishStallNs is the interval's spout publish stall (ring plane
+	// PublishStallNs is the interval's spout publish stall (dspe legs
 	// only).
 	PublishStallNs int64 `json:"publish_stall_ns,omitempty"`
 	// TxBytes, BytesPerMsg, DictHits and DictResets are the transport
@@ -261,7 +260,7 @@ type Summary struct {
 	Legs   int    `json:"legs"`
 	// Completed is the total processed messages across legs;
 	// ElapsedSec the total processing time (wall clock for the dspe
-	// planes, simulated seconds for eventsim) and Throughput their
+	// legs, simulated seconds for eventsim) and Throughput their
 	// ratio — deterministic for eventsim, host-dependent for dspe.
 	Completed  int64   `json:"completed"`
 	ElapsedSec float64 `json:"elapsed_sec"`
@@ -393,13 +392,9 @@ func launch(cfg Config, engine string, cycle int, reg *telemetry.Registry, gen s
 			Telemetry: reg,
 		})
 		return legResult{completed: res.Completed, err: err}
-	case EngineChannel, EngineRing, EngineTCP:
-		plane := dspe.DataplaneChannel
-		tr := dspe.TransportDirect
+	case EngineMem, EngineTCP:
+		tr := dspe.TransportMemory
 		var chaos *transport.ChaosConfig
-		if engine == EngineRing {
-			plane = dspe.DataplaneRing
-		}
 		if engine == EngineTCP {
 			tr = dspe.TransportTCP
 			if cfg.Faults {
@@ -408,7 +403,7 @@ func launch(cfg Config, engine string, cycle int, reg *telemetry.Registry, gen s
 		}
 		res, err := dspe.Run(gen, dspe.Config{
 			Workers: cfg.Workers, Sources: cfg.Sources, Algorithm: cfg.Algorithm,
-			Core: coreCfg, ServiceTime: cfg.ServiceTime, Spin: cfg.Spin, Dataplane: plane,
+			Core: coreCfg, ServiceTime: cfg.ServiceTime, Spin: cfg.Spin,
 			Transport: tr, Chaos: chaos,
 			AggWindow: cfg.AggWindow, AggShards: cfg.Shards,
 			Telemetry: reg,
@@ -461,7 +456,7 @@ func rowFrom(cfg Config, engine string, cycle int, start time.Time, cur, prev sa
 	row.OutageSec = sumByName(cur.snap, "transport_outage_seconds")
 
 	// Per-shard utilization: busy-time delta over the interval's
-	// denominator — wall time for the dspe planes, simulated time for
+	// denominator — wall time for the dspe legs, simulated time for
 	// eventsim (both in ns, so the fraction is dimensionless).
 	denom := float64(cur.wall.Sub(prev.wall).Nanoseconds())
 	if engine == EngineEventsim {
@@ -478,7 +473,7 @@ func rowFrom(cfg Config, engine string, cycle int, start time.Time, cur, prev sa
 }
 
 // legElapsedSec is a leg's processing time in the engine's own clock:
-// wall seconds for the dspe planes, simulated seconds for eventsim.
+// wall seconds for the dspe legs, simulated seconds for eventsim.
 func legElapsedSec(engine string, final sample, legStart time.Time) float64 {
 	if engine == EngineEventsim {
 		return sumByName(final.snap, "sim_clock_ns") / 1e9

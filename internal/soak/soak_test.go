@@ -8,8 +8,8 @@ import (
 )
 
 // shortConfig is a soak small enough for unit tests: one cycle, legs
-// of 30k messages, sampling fast enough that at least the channel
-// plane emits in-flight rows on any host.
+// of 30k messages, sampling fast enough that the dspe leg usually
+// emits in-flight rows as well as its final row.
 func shortConfig(emit func(Row)) Config {
 	return Config{
 		Duration: 0, Interval: 25 * time.Millisecond, MinCycles: 1,
@@ -57,7 +57,7 @@ func TestRunCoversEveryEngine(t *testing.T) {
 			t.Fatalf("%s final row has zero reducer utilization", eng)
 		}
 		// Every engine run must have registered per-worker queue-depth
-		// gauges — ring occupancy on the ring plane — for the interval
+		// gauges — link occupancy on the dspe legs — for the interval
 		// rows to sample.
 		snap, ok := rep.FinalSnapshots[eng]
 		if !ok {
@@ -158,7 +158,7 @@ func TestRunFaultsLeg(t *testing.T) {
 
 func report(throughput map[string]float64) *Report {
 	rep := &Report{Config: Config{}.withDefaults()}
-	for _, e := range Engines {
+	for _, e := range []string{EngineEventsim, EngineMem, EngineTCP} {
 		rep.Summaries = append(rep.Summaries, Summary{Engine: e, Throughput: throughput[e]})
 	}
 	return rep
@@ -167,21 +167,21 @@ func report(throughput map[string]float64) *Report {
 func TestGate(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	base := []Baseline{
-		{Config: cfg.String(), Throughput: map[string]float64{EngineEventsim: 1000, EngineChannel: 500}},
+		{Config: cfg.String(), Throughput: map[string]float64{EngineEventsim: 1000, EngineMem: 500}},
 		{Config: cfg.String(), Throughput: map[string]float64{EngineEventsim: 1200}},
 		{Config: "algo=PoTC other", Throughput: map[string]float64{EngineEventsim: 9999}},
 	}
 
 	// Within tolerance of the trajectory best (1200, not 9999: the
 	// mismatched config must be ignored).
-	rep := report(map[string]float64{EngineEventsim: 1000, EngineChannel: 480, EngineRing: 1})
+	rep := report(map[string]float64{EngineEventsim: 1000, EngineMem: 480, EngineTCP: 1})
 	if v := Gate(rep, base, 0.2); len(v) != 0 {
 		t.Fatalf("unexpected violations: %v", v)
 	}
-	// EngineRing has no baseline → never gated, even at 1 msg/s.
+	// EngineTCP has no baseline → never gated, even at 1 msg/s.
 
 	// Below the floor.
-	rep = report(map[string]float64{EngineEventsim: 700, EngineChannel: 480})
+	rep = report(map[string]float64{EngineEventsim: 700, EngineMem: 480})
 	v := Gate(rep, base, 0.2)
 	if len(v) != 1 {
 		t.Fatalf("violations = %v, want exactly one (eventsim)", v)
@@ -195,7 +195,7 @@ func TestGate(t *testing.T) {
 }
 
 func TestSummaryTableRoundTrip(t *testing.T) {
-	rep := report(map[string]float64{EngineEventsim: 123.45, EngineChannel: 500, EngineRing: 90000})
+	rep := report(map[string]float64{EngineEventsim: 123.45, EngineMem: 500, EngineTCP: 90000})
 	tab := SummaryTable(rep, map[string]string{"seed": "7"})
 	if tab.Meta["config"] != rep.Config.String() || tab.Meta["seed"] != "7" {
 		t.Fatalf("meta = %v", tab.Meta)
@@ -225,8 +225,8 @@ func TestSummaryTableRoundTrip(t *testing.T) {
 		if got := bases[0].Throughput[EngineEventsim]; got != 123.45 {
 			t.Fatalf("eventsim baseline throughput %g", got)
 		}
-		if got := bases[0].Throughput[EngineRing]; got != 90000 {
-			t.Fatalf("ring baseline throughput %g", got)
+		if got := bases[0].Throughput[EngineTCP]; got != 90000 {
+			t.Fatalf("tcp baseline throughput %g", got)
 		}
 	}
 }

@@ -102,12 +102,12 @@ func TestReplayFeedsDspeMerger(t *testing.T) {
 		}
 	}
 
-	for _, plane := range []dspe.Dataplane{dspe.DataplaneChannel, dspe.DataplaneRing} {
+	for _, tr := range []dspe.Transport{dspe.TransportMemory, dspe.TransportTCP} {
 		got := map[fk]int64{}
 		var mu sync.Mutex
 		res, err := dspe.Run(replay(), dspe.Config{
 			Workers: 4, Sources: 2, Algorithm: "W-C",
-			Core: core.Config{Seed: 17}, Dataplane: plane,
+			Core: core.Config{Seed: 17}, Transport: tr,
 			AggWindow: window, AggShards: 2,
 			AggMerger: aggregation.SumMerger,
 			OnFinal: func(f aggregation.Final) {
@@ -120,10 +120,10 @@ func TestReplayFeedsDspeMerger(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.AggTotal != m {
-			t.Fatalf("plane %v: finals count to %d, want %d", plane, res.AggTotal, m)
+			t.Fatalf("transport %v: finals count to %d, want %d", tr, res.AggTotal, m)
 		}
 		if !reflect.DeepEqual(got, truth) {
-			t.Fatalf("plane %v: merged sums diverge from the recorded trace", plane)
+			t.Fatalf("transport %v: merged sums diverge from the recorded trace", tr)
 		}
 	}
 }

@@ -10,8 +10,7 @@ import (
 // Frame codec v2: slabs of Msg become length-prefixed COLUMNAR frames
 // over a PERSISTENT per-link key dictionary.
 //
-// Two structural ideas separate v2 from the PR-8 record layout (kept in
-// frame_record.go as the benchmark reference):
+// Two structural ideas shape v2:
 //
 //  1. Struct-of-arrays. A frame is a sequence of per-field columns —
 //     all key references, then all windows, then all weights, … —

@@ -33,10 +33,9 @@ func zipfSlab(seed uint64, n int) []Msg {
 
 const latBenchMask = 7 // mirrors the dataplane's 1-in-8 latency sampling
 
-// BenchmarkFrameCodec compares the PR-8 interleaved record layout
-// against the columnar + persistent-dictionary layout on Zipf key
-// slabs, for encode, decode, and the full round trip. The bytes/msg
-// metric is the wire-size claim; steady-state columnar decode is also
+// BenchmarkFrameCodec measures the columnar + persistent-dictionary
+// codec on Zipf key slabs, for encode, decode, and the full round trip.
+// The bytes/msg metric is the wire size; steady-state decode is also
 // pinned at 0 allocs/op by TestColumnarDecodeSteadyStateZeroAllocs.
 func BenchmarkFrameCodec(b *testing.B) {
 	const slabLen = 256
@@ -45,17 +44,6 @@ func BenchmarkFrameCodec(b *testing.B) {
 		slabs[i] = zipfSlab(uint64(i)+1, slabLen)
 	}
 
-	b.Run("record/encode", func(b *testing.B) {
-		var enc recordEncoder
-		var buf []byte
-		bytes := 0
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = enc.AppendFrame(buf[:0], slabs[i%len(slabs)])
-			bytes += len(buf)
-		}
-		b.ReportMetric(float64(bytes)/float64(b.N*slabLen), "bytes/msg")
-	})
 	b.Run("columnar/encode", func(b *testing.B) {
 		var enc Encoder
 		var buf []byte
@@ -68,30 +56,6 @@ func BenchmarkFrameCodec(b *testing.B) {
 		b.ReportMetric(float64(bytes)/float64(b.N*slabLen), "bytes/msg")
 	})
 
-	b.Run("record/decode", func(b *testing.B) {
-		var enc recordEncoder
-		payloads := encodeAll(b, slabs, func(dst []byte, s []Msg) []byte { return enc.AppendFrame(dst, s) })
-		var dec recordDecoder
-		// Warm the decoder's dictionary, then re-encode so every payload
-		// is pure-reference and can be replayed out of order (the v1
-		// introduction records are position-dependent).
-		for _, p := range payloads {
-			if _, err := dec.DecodeFrame(p, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		payloads = encodeAll(b, slabs, func(dst []byte, s []Msg) []byte { return enc.AppendFrame(dst, s) })
-		dst := make([]Msg, 0, 2*slabLen)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			dst, err = dec.DecodeFrame(payloads[i%len(payloads)], dst[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("columnar/decode", func(b *testing.B) {
 		var enc Encoder
 		payloads := encodeAll(b, slabs, func(dst []byte, s []Msg) []byte { return enc.AppendFrame(dst, s) })
@@ -125,22 +89,6 @@ func BenchmarkFrameCodec(b *testing.B) {
 		}
 	})
 
-	b.Run("record/roundtrip", func(b *testing.B) {
-		var enc recordEncoder
-		var dec recordDecoder
-		var buf []byte
-		dst := make([]Msg, 0, 2*slabLen)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = enc.AppendFrame(buf[:0], slabs[i%len(slabs)])
-			_, n := binary.Uvarint(buf)
-			var err error
-			dst, err = dec.DecodeFrame(buf[n:], dst[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("columnar/roundtrip", func(b *testing.B) {
 		var enc Encoder
 		var dec Decoder

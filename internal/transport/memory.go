@@ -10,11 +10,9 @@ import (
 
 // Memory is the in-process backend: every link is one SPSC ring of Msg
 // values, so a SendSlab is a Grant/copy/Publish and a RecvSlab an
-// Acquire/copy/Release — the same machine operations the direct ring
-// dataplane performs, with no per-message allocation and no framing.
-// It exists so the dataplane's transport wiring can be exercised (and
-// benchmarked against the direct plane) with the wire cost isolated to
-// the TCP backend.
+// Acquire/copy/Release, with no per-message allocation and no framing.
+// It is the engine's default fabric; the TCP backend adds only the wire
+// cost on top of the same receive rings.
 type Memory struct {
 	mu    sync.Mutex
 	links map[string]*Link
@@ -59,9 +57,8 @@ type memSender ring.SPSC[Msg]
 func (s *memSender) ring() *ring.SPSC[Msg] { return (*ring.SPSC[Msg])(s) }
 
 // SendSlab copies msgs into the ring, spinning (Gosched, then brief
-// sleeps) while it is full — identical to the direct ring plane's
-// producer backoff, so a full link applies backpressure rather than
-// dropping or growing.
+// sleeps) while it is full, so a full link applies backpressure rather
+// than dropping or growing.
 func (s *memSender) SendSlab(msgs []Msg) error {
 	r := s.ring()
 	spins := 0
@@ -99,6 +96,9 @@ type memReceiver ring.SPSC[Msg]
 
 func (c *memReceiver) ring() *ring.SPSC[Msg] { return (*ring.SPSC[Msg])(c) }
 
+// Len implements Receiver.
+func (c *memReceiver) Len() int { return c.ring().Len() }
+
 // RecvSlab implements Receiver.
 func (c *memReceiver) RecvSlab(buf []Msg) (int, bool) {
 	r := c.ring()
@@ -111,10 +111,9 @@ func (c *memReceiver) RecvSlab(buf []Msg) (int, bool) {
 	return n, false
 }
 
-// backoff yields politely while a link is full (producer side) — the
-// same two-phase policy as the ring dataplane: cheap Gosched first so
-// a momentarily busy peer costs almost nothing, short sleeps once the
-// stall is real.
+// backoff yields politely while a link is full (producer side): cheap
+// Gosched first so a momentarily busy peer costs almost nothing, short
+// sleeps once the stall is real.
 func backoff(spins *int) {
 	*spins++
 	if *spins < 64 {

@@ -1,4 +1,4 @@
-// Package transport is the edge fabric for the goroutine dataplane: it
+// Package transport is the edge fabric for the goroutine engine: it
 // moves slabs of tuples between spouts, bolts, and reducer shards over
 // named point-to-point links, behind one interface with two backends.
 //
@@ -33,7 +33,7 @@
 // the producer side done; after the receiver drains every in-flight
 // message, RecvSlab reports done. RecvSlab is non-blocking — it
 // returns 0 when no messages are ready — because consumers multiplex
-// many links round-robin, exactly like the ring dataplane's bolts.
+// many links round-robin (dspe's executors sweep their bolts' links).
 // Message order is preserved per link; nothing is dropped.
 //
 // # Delivery under faults
@@ -123,6 +123,10 @@ type Receiver interface {
 	// right now. done reports that the producer closed AND every
 	// message has been received; once done, n is always 0.
 	RecvSlab(buf []Msg) (n int, done bool)
+	// Len reports how many received messages are ready for RecvSlab:
+	// a snapshot, safe to read from any goroutine (queue-depth gauges
+	// sample it while the consumer runs).
+	Len() int
 }
 
 // Link is one named point-to-point edge.

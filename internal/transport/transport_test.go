@@ -356,7 +356,7 @@ func benchLink(b *testing.B, l *Link) {
 }
 
 // BenchmarkTransportMemory measures the ring-backed backend: the
-// number to compare against the direct ring plane.
+// number to compare the TCP loopback link against.
 func BenchmarkTransportMemory(b *testing.B) {
 	tr := NewMemory()
 	defer tr.Close()

@@ -114,62 +114,25 @@
 // runtime's wall-clock equivalents, with EngineConfig.AggMergeCost
 // available to reproduce the reducer-bound regime in wall-clock runs.
 //
-// # The goroutine engine's dataplanes
-//
-// The goroutine runtime executes one topology — spouts route a keyed
-// stream into bolts, bolts flush windowed partials toward R reducer
-// shards — over either of two tuple transports, selected by
-// EngineConfig.Dataplane / PipelineConfig.Dataplane:
-//
-//   - DataplaneChannel (the default): bounded Go channels, one shared
-//     MPSC inbox per executor, tuples moving in per-batch slabs and the
-//     in-flight ack window implemented as a semaphore channel.
-//   - DataplaneRing: every (sender, receiver) edge gets its own
-//     lock-free single-producer/single-consumer ring buffer
-//     (internal/ring — power-of-two capacity, cache-line-padded
-//     cursors, cached-sequence fast path, batched Grant/Publish and
-//     Acquire/Release windows). The ring slots ARE the tuple arena:
-//     tuples are written and read in place, no slab is allocated, and
-//     the zero-allocation steady state extends from routing to the
-//     whole spout→bolt→reducer tuple path. Acks become one padded
-//     atomic in-flight counter per source, bumped per slab and
-//     decremented per consumed batch.
-//
-// The ring plane also restructures the shard hop through a worker-side
-// COMBINER TREE: bolts push flushed partials into per-shard trees
-// (fan-in 8) whose interior nodes pre-merge same-(window, key)
-// partials through the pluggable Merger — exact, because the Merger is
-// a commutative, associative fold — and whose per-shard roots buffer
-// to window completeness, so each reducer shard merges roughly one
-// combined partial per (window, key) instead of one per (window, key,
-// worker): the reduce stage's merge traffic drops from the replication
-// factor to ≈ 1 (EngineResult.AggBoltPartials vs Agg.Partials measures
-// the cut). Everything observable is pinned across dataplanes — window
-// close, hash-once digest carry, finals, and replication factors are
-// bit-identical — so the selector doubles as an A/B harness:
-// BenchmarkPipelineThroughput measures the ring plane at ≈ 1.6x the
-// channel baseline on the raw tuple path and ≥ 2x in the reducer-bound
-// reference regime (AggShards = 4, 50 µs merge cost), where the
-// combiner tree's traffic cut is structural. The transport plane
-// (below) gives each reducer shard the same completeness-buffered
-// combiner root, without the interior nodes.
-//
 // # Transport
 //
-// The goroutine runtime can also leave the single process: setting
-// EngineConfig.Transport routes the spout→bolt and bolt→shard hops
-// through internal/transport, a batched per-edge message layer with
-// explicit flush/drain semantics (Sender.SendSlab/Flush/Close on the
-// write side, non-blocking Receiver.RecvSlab polls on the read side).
-// Two backends ship:
+// The goroutine runtime (RunTopology) executes one topology — spouts
+// route a keyed stream into bolts, bolts flush windowed partials toward
+// R reducer shards — with every hop on internal/transport, a batched
+// per-edge message layer with explicit flush/drain semantics
+// (Sender.SendSlab/Flush/Close on the write side, non-blocking
+// Receiver.RecvSlab polls on the read side). EngineConfig.Transport
+// selects one of two backends:
 //
-//   - TransportMemory runs the interface over the same SPSC rings as
-//     DataplaneRing — including a zero-copy Grant/Publish fast path
-//     that stages outgoing messages directly in the ring slots — so it
-//     prices exactly the interface boundary: zero allocations per
-//     operation in steady state, and pipeline throughput on par with
-//     the direct ring plane when the reducers bound it and ahead of it
-//     in BenchmarkPipelineThroughput's raw and wide (n = 256) regimes.
+//   - TransportMemory (the default) gives every (sender, receiver) edge
+//     its own lock-free single-producer/single-consumer ring buffer
+//     (internal/ring — power-of-two capacity, cache-line-padded
+//     cursors, batched Grant/Publish and Acquire/Release windows),
+//     with a zero-copy path that builds outgoing messages directly in
+//     the ring slots. Routing, rings and aggregation allocate nothing
+//     per message in steady state. Acks are one padded atomic
+//     in-flight counter per source, bumped per slab and decremented
+//     per consumed batch.
 //   - TransportTCP moves every edge over a real socket (loopback in
 //     the tests and benchmarks) speaking wire format v2: COLUMNAR
 //     length-prefixed frames (per-field columns with varint/zigzag
@@ -177,11 +140,10 @@
 //     columns, a sparse emit column) over a PERSISTENT per-link key
 //     dictionary — a hot key's bytes and digest cross the wire once
 //     per dictionary epoch, and every later occurrence is a 1-2 byte
-//     reference (≈2-4 B per steady-state message, vs ≈8 B for the
-//     PR-8 record layout; epoch resets bound the dictionary at 32k
-//     entries and a frame-carried epoch counter turns any
-//     desynchronization into a hard decode error). The sender is
-//     pipelined: the caller's goroutine encodes into ~32 KB
+//     reference (≈2-4 B per steady-state message; epoch resets bound
+//     the dictionary at 32k entries and a frame-carried epoch counter
+//     turns any desynchronization into a hard decode error). The
+//     sender is pipelined: the caller's goroutine encodes into ~32 KB
 //     coalescing buffers while a writer goroutine drives the kernel
 //     with vectored writes, and the receive side decodes through a
 //     per-link key arena into an SPSC ring with zero steady-state
@@ -193,11 +155,10 @@
 //     transport_dict_resets_total, labeled link=). Spouts flush
 //     lazily — only when the in-flight ack window is about to block —
 //     and when EngineConfig.Window is left at its default the TCP
-//     plane grows each spout's ack window adaptively (doubling on ack
-//     stalls up to 8192, published as spout_ack_window) instead of
+//     backend grows each spout's ack window adaptively (doubling on
+//     ack stalls up to 8192, published as spout_ack_window) instead of
 //     staying ack-latency bound at 100. Sustained loopback link
-//     throughput is ≈34M msgs/s single-core (≈2.2x the PR-8 record
-//     codec on the same host and harness).
+//     throughput is ≈34M msgs/s single-core.
 //
 // The TCP backend is fault-tolerant: a link survives its connection
 // dying at ANY byte boundary with exactness intact. Every coalescing
@@ -235,12 +196,13 @@
 // On either backend each reducer shard drains its bolt links through
 // a combiner ROOT: it records every received partial's (window, key,
 // worker) replica triple from the worker id the partial carries on the
-// wire, folds the partial through the Merger, and hands its reducer
+// wire, folds the partial through the Merger — exact, because the
+// Merger is a commutative, associative fold — and hands its reducer
 // each window only once the window is complete. The reducers therefore
 // merge exactly one partial per (window, key) (Agg.Partials ==
-// Agg.Finals) rather than one per (window, key, worker), which is what
-// lets the transport plane keep pace with the ring plane when the
-// reduce stage is the bottleneck.
+// Agg.Finals) rather than one per (window, key, worker): the reduce
+// stage's merge traffic drops from the replication factor to 1
+// (EngineResult.AggBoltPartials vs Agg.Partials measures the cut).
 //
 // On either backend bolts are tasks, not goroutines: executor
 // goroutines each host a share of the bolts and sweep them
@@ -251,9 +213,11 @@
 // simulated service time every bolt keeps its own executor, so one
 // bolt's service time never delays another.
 //
-// Everything observable — finals, replication factors, completed
-// counts — is bit-identical across TransportDirect, TransportMemory
-// and TransportTCP at Sources = 1, pinned by dspe's parity tests. The
+// Everything observable is pinned to ground truth, not to another
+// engine configuration: on both backends, finals equal a sequential
+// per-(window, key) fold of the stream, completed counts equal its
+// length, and at Sources = 1 replication factors equal the
+// deterministic engine's (dspe's parity and fault-parity tests). The
 // deterministic engine prices the same hop analytically:
 // ClusterConfig.LinkDelay (with LinkJitter and the rare
 // LinkSlowOneIn/LinkSlowPenalty slow path, all hash-derived and
@@ -267,10 +231,26 @@
 // closed-form recurrence and reported as
 // ClusterResult.LinkRetransmits/LinkOutageWaitMs — the analytic
 // analogue of the live chaos schedule. The `transport` experiment
-// (cmd/slbstorm) sweeps all of it: dataplane throughput with the TCP
-// wire ledger, degraded-link throughput and retransmission cost per
+// (cmd/slbstorm) sweeps all of it: memory vs TCP throughput with the
+// TCP wire ledger, degraded-link throughput and retransmission cost per
 // algorithm under chaos, and the per-algorithm delay and outage
 // sensitivity.
+//
+// # Pipeline dataplanes
+//
+// Pipeline, the multi-stage topology builder, keeps two in-process
+// tuple transports of its own, selected by PipelineConfig.Dataplane:
+//
+//   - DataplaneChannel (the default): bounded Go channels, one shared
+//     MPSC inbox per executor, tuples moving in per-batch slabs.
+//   - DataplaneRing: every (sender, receiver) edge gets its own SPSC
+//     ring whose slots are the tuple arena, each executor sweeping its
+//     per-sender rings.
+//
+// Stage semantics and results are identical on both, and neither wins
+// on every shape: the ring plane is faster on chains that start with a
+// plain stage, the channel plane when the first stage is the windowed
+// aggregate. Pipelines do not run on internal/transport links.
 //
 // # Telemetry
 //
@@ -288,13 +268,13 @@
 // boundaries (the routing hot path keeps its zero-allocation
 // steady state; BenchmarkRouteBatchDigestsInstrumented asserts it).
 //
-// The goroutine runtime (engine=dspe-channel / engine=dspe-ring)
-// publishes per spout route_msgs_total, route_ns_total,
-// route_batches_total and spout_ack_wait_ns_total (the ring plane adds
-// publish_stall_ns_total); per worker a queue_depth gauge — channel
-// backlog on the channel plane, ring occupancy on the ring plane —
-// plus bolt_msgs_total, bolt_partials_total and (ring)
-// acquire_stall_ns_total; and per reducer shard reduce_partials_total,
+// The goroutine runtime (engine=dspe-mem / engine=dspe-tcp) publishes
+// per spout route_msgs_total, route_ns_total, route_batches_total,
+// spout_ack_wait_ns_total, spout_ack_window and
+// publish_stall_ns_total; per worker a queue_depth gauge — messages
+// waiting in the bolt's input links — plus bolt_msgs_total,
+// bolt_partials_total and acquire_stall_ns_total; and per reducer shard
+// reduce_partials_total,
 // reduce_busy_ns_total and the reduce_open_windows /
 // reduce_live_entries / reduce_live_replicas occupancy gauges. The
 // discrete-event engine (engine=eventsim) publishes the same routing
@@ -306,8 +286,8 @@
 // internal/eventsim/telemetry.go.
 //
 // cmd/slbsoak drives all of this as a soak harness: drifting workloads
-// (NewDriftStream) cycled across eventsim, both dspe dataplanes and
-// (with -tcp, default under -short) the loopback TCP transport for
+// (NewDriftStream) cycled across eventsim, the dspe engine over memory
+// links and (with -tcp, default under -short) over loopback TCP for
 // minutes to hours, each leg's registry sampled on an interval into
 // JSONL rows (per-shard reducer utilization, queue depths, routing
 // rates, stalls), a per-engine summary written as a BENCH_soak JSON
@@ -575,37 +555,32 @@ func SimulateCluster(gen Generator, cfg ClusterConfig) (ClusterResult, error) {
 }
 
 // EngineConfig configures the concurrent goroutine runtime (bounded
-// channels, ack-based windows, wall-clock measurement).
+// links, ack-based windows, wall-clock measurement).
 type EngineConfig = dspe.Config
 
-// Dataplane selects how the goroutine runtime moves tuples between its
-// stages (EngineConfig.Dataplane / PipelineConfig.Dataplane). Both
-// planes execute the same topology and produce bit-identical results.
+// Dataplane selects how a Pipeline moves tuples between its stages
+// (PipelineConfig.Dataplane). Both planes execute the same stages and
+// produce identical results.
 type Dataplane = dspe.Dataplane
 
-// The goroutine runtime's dataplanes. DataplaneChannel — the default —
-// uses bounded Go channels (one shared MPSC inbox per executor).
-// DataplaneRing replaces every edge with per-(sender, receiver)
-// lock-free SPSC ring buffers whose slots double as the tuple arena,
-// and pre-merges same-host bolt partials through a worker-side
-// combiner tree before the shard hop to the reducers.
+// Pipeline dataplanes. DataplaneChannel — the default — uses bounded Go
+// channels (one shared MPSC inbox per executor). DataplaneRing gives
+// every (sender, receiver) edge its own lock-free SPSC ring buffer
+// whose slots double as the tuple arena.
 const (
 	DataplaneChannel = dspe.DataplaneChannel
 	DataplaneRing    = dspe.DataplaneRing
 )
 
-// Transport selects how the goroutine runtime's tuples cross executor
-// boundaries (EngineConfig.Transport): direct in-process handoff over
-// the selected Dataplane (the default), or the internal/transport
-// batched message layer — in-memory rings behind the transport
-// interface, or loopback TCP with varint framing and write coalescing.
-// Results are bit-identical across transports at Sources = 1; see the
+// Transport selects the backend of the goroutine runtime's links
+// (EngineConfig.Transport): in-process SPSC rings (TransportMemory,
+// the default) or loopback TCP with columnar framing and write
+// coalescing (TransportTCP). Results are the same on both; see the
 // package doc's Transport section.
 type Transport = dspe.Transport
 
 // The goroutine runtime's transports (see Transport).
 const (
-	TransportDirect = dspe.TransportDirect
 	TransportMemory = dspe.TransportMemory
 	TransportTCP    = dspe.TransportTCP
 )
