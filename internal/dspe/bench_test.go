@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"slb/internal/aggregation"
+	"slb/internal/core"
+	"slb/internal/stream"
 	"slb/internal/texttab"
 	"slb/internal/workload"
 )
@@ -132,5 +136,74 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 		if err := tab.WriteJSON(filepath.Join(dir, "BENCH_pipeline_throughput.json")); err != nil {
 			b.Fatalf("writing bench artifact: %v", err)
 		}
+	}
+}
+
+// pipelineShapes are the Pipeline topologies BenchmarkPipelineShapes
+// times, 4 spouts each:
+//
+//   - trending: examples/trending's three stages — a weighted SG
+//     normalize stage, a 12-way D-C windowed Sum merge, a 2-way KG
+//     merge — over z=1.8, 3000 keys.
+//   - chain: an 8-way PKG pass-through stage into an 8-way KG leaf,
+//     z=1.4, 1000 keys: per-tuple edge cost with no aggregation.
+//   - agg16, agg256: a 16- or 256-way D-C windowed aggregate (window
+//     1000) into a 4-way KG reduce, z=2.0, 10k keys. The 256-way shape
+//     is the paper's wide regime: executors far outnumber processors
+//     and each sees few tuples per wake.
+var pipelineShapes = []struct {
+	name  string
+	z     float64
+	keys  int
+	build func(gen stream.Generator) *Pipeline
+}{
+	{"trending", 1.8, 3000, func(gen stream.Generator) *Pipeline {
+		return NewPipeline(gen, 4).
+			AddWeightedStage("normalize", 4, "SG", 0, func(key string, _, _ int64, emit func(string, int64)) {
+				tag := strings.ToLower(key)
+				emit(tag, int64(len(tag)%5)+1)
+			}).
+			AddWindowedMerge("sum-partial", 12, "D-C", 12_000, aggregation.SumMerger).
+			AddWeightedStage("merge", 2, "KG", 0, func(string, int64, int64, func(string, int64)) {})
+	}},
+	{"chain", 1.4, 1000, func(gen stream.Generator) *Pipeline {
+		return NewPipeline(gen, 4).
+			AddStage("pass", 8, "PKG", 0, func(key string, emit func(string)) { emit(key) }).
+			AddStage("count", 8, "KG", 0, func(string, func(string)) {})
+	}},
+	{"agg16", 2.0, 10_000, func(gen stream.Generator) *Pipeline {
+		return NewPipeline(gen, 4).
+			AddWindowedAggregate("partial", 16, "D-C", 1000).
+			AddWeightedStage("reduce", 4, "KG", 0, func(string, int64, int64, func(string, int64)) {})
+	}},
+	{"agg256", 2.0, 10_000, func(gen stream.Generator) *Pipeline {
+		return NewPipeline(gen, 4).
+			AddWindowedAggregate("partial", 256, "D-C", 1000).
+			AddWeightedStage("reduce", 4, "KG", 0, func(string, int64, int64, func(string, int64)) {})
+	}},
+}
+
+// BenchmarkPipelineShapes times Pipeline.Run end to end — ring setup
+// and drain included, stream generation excluded — on each of
+// pipelineShapes over 200k tuples, and reports msgs/s.
+func BenchmarkPipelineShapes(b *testing.B) {
+	const msgs = 200_000
+	for _, sh := range pipelineShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p := sh.build(workload.NewZipf(sh.z, sh.keys, msgs, 17))
+				b.StartTimer()
+				res, err := p.Run(PipelineConfig{Core: core.Config{Seed: 17}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Emitted != msgs {
+					b.Fatalf("emitted %d of %d", res.Emitted, msgs)
+				}
+			}
+			b.ReportMetric(float64(msgs)*float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
+		})
 	}
 }

@@ -1,13 +1,16 @@
 package dspe
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"slb/internal/aggregation"
 	"slb/internal/core"
 	"slb/internal/metrics"
+	"slb/internal/ring"
 	"slb/internal/stream"
 )
 
@@ -18,11 +21,17 @@ import (
 // private partitioner instance with sender-local load estimates for
 // every edge it sends on.
 //
-// Tuples flow through bounded channels (backpressure); stages terminate
-// in order once the spout's stream is exhausted, so a finite stream
-// always drains completely. This generalizes Run's fixed
-// source→worker DAG to the DAGs real DSPE applications use
-// (e.g. tokenize → count).
+// Every edge is one lock-free SPSC ring per (sender, receiver) executor
+// pair. Spouts are goroutines; stage executors are tasks, hosted and
+// swept round-robin by min(executors, GOMAXPROCS) goroutines the way
+// Run hosts its bolts (one goroutine per executor when a stage has a
+// service time). A task stages its emissions in an outbox and takes no
+// new input while a full ring leaves the outbox non-empty: backpressure
+// holds without blocking a goroutine that may also host the consumer.
+// An executor closes its output rings once its inputs are drained and
+// its outbox is empty, so a finite stream always drains completely.
+// This generalizes Run's fixed source→worker DAG to the DAGs real DSPE
+// applications use (e.g. tokenize → count).
 //
 // Four stage kinds compose the paper's two-phase applications:
 // AddStage (plain per-tuple functions), AddWindowedAggregate (per-key
@@ -32,20 +41,26 @@ import (
 // operator over tuple weights: sum, min/max, approximate-distinct) and
 // AddWeightedStage (functions that see tuple weights and windows —
 // the reduce phase merging partials, typically grouped "KG").
+//
+// Invalid builder arguments do not panic: the first one is recorded
+// and returned by Run.
 type Pipeline struct {
 	gen    stream.Generator
 	spouts int
 	stages []stageSpec
+	err    error // first invalid builder argument; Run returns it
 }
 
 // StageFunc processes one tuple and may emit any number of keyed tuples
 // downstream via emit (a leaf stage's emissions are discarded).
-// Executors call it from exactly one goroutine. Emissions inherit the
-// incoming tuple's weight and window unchanged (pass-through), so a
-// plain stage between a windowed-aggregate stage and its reducer
-// relabels partials without corrupting their counts; a stage that fans
-// one tuple out into several therefore multiplies total weight — use
-// AddWeightedStage when emissions must repartition the count.
+// Each executor calls it from one goroutine at a time, but executors
+// share goroutines: it must not block waiting on another executor of
+// the same pipeline. Emissions inherit the incoming tuple's weight and
+// window unchanged (pass-through), so a plain stage between a
+// windowed-aggregate stage and its reducer relabels partials without
+// corrupting their counts; a stage that fans one tuple out into
+// several therefore multiplies total weight — use AddWeightedStage when
+// emissions must repartition the count.
 type StageFunc func(key string, emit func(key string))
 
 // WeightedStageFunc is the stage form that sees tuple weights: count is
@@ -53,7 +68,8 @@ type StageFunc func(key string, emit func(key string))
 // tuples, a partial count for tuples emitted by a windowed-aggregate
 // stage) and window is the tumbling-window id it belongs to (0 for raw
 // tuples). Emissions carry their own counts. This is the natural shape
-// of a reduce stage merging partials.
+// of a reduce stage merging partials. Like a StageFunc, it must not
+// block waiting on another executor of the same pipeline.
 type WeightedStageFunc func(key string, window int64, count int64, emit func(key string, count int64))
 
 type stageSpec struct {
@@ -70,50 +86,42 @@ type stageSpec struct {
 // NewPipeline starts a pipeline definition from a spout stage with the
 // given parallelism reading gen.
 func NewPipeline(gen stream.Generator, spouts int) *Pipeline {
+	p := &Pipeline{gen: gen, spouts: spouts}
 	if spouts <= 0 {
-		panic("dspe: pipeline needs at least one spout")
+		p.err = errors.New("dspe: pipeline needs at least one spout")
 	}
-	return &Pipeline{gen: gen, spouts: spouts}
+	return p
+}
+
+// add appends spec, or records an error for Run: a non-positive
+// parallelism, or the builder's own check failed (invalid, explained by
+// why). Only a pipeline's first error is kept.
+func (p *Pipeline) add(spec stageSpec, invalid bool, why string) *Pipeline {
+	if !invalid && spec.parallelism <= 0 {
+		invalid, why = true, fmt.Sprintf("parallelism %d must be positive", spec.parallelism)
+	}
+	if !invalid {
+		p.stages = append(p.stages, spec)
+	} else if p.err == nil {
+		p.err = fmt.Errorf("dspe: stage %q: %s", spec.name, why)
+	}
+	return p
 }
 
 // AddStage appends a bolt stage. grouping names the partitioning scheme
 // of the edge into this stage (one of core.Names); service is an
 // optional simulated per-tuple processing cost.
 func (p *Pipeline) AddStage(name string, parallelism int, grouping string, service time.Duration, fn StageFunc) *Pipeline {
-	if parallelism <= 0 {
-		panic("dspe: stage parallelism must be positive")
-	}
-	if fn == nil {
-		panic("dspe: stage function required")
-	}
-	p.stages = append(p.stages, stageSpec{
-		name:        name,
-		parallelism: parallelism,
-		grouping:    grouping,
-		fn:          fn,
-		service:     service,
-	})
-	return p
+	spec := stageSpec{name: name, parallelism: parallelism, grouping: grouping, fn: fn, service: service}
+	return p.add(spec, fn == nil, "stage function required")
 }
 
 // AddWeightedStage appends a bolt stage whose function sees tuple
 // weights and windows — the reduce half of a two-phase aggregation.
 // Group it "KG" to guarantee all partials of a key meet at one executor.
 func (p *Pipeline) AddWeightedStage(name string, parallelism int, grouping string, service time.Duration, fn WeightedStageFunc) *Pipeline {
-	if parallelism <= 0 {
-		panic("dspe: stage parallelism must be positive")
-	}
-	if fn == nil {
-		panic("dspe: stage function required")
-	}
-	p.stages = append(p.stages, stageSpec{
-		name:        name,
-		parallelism: parallelism,
-		grouping:    grouping,
-		wfn:         fn,
-		service:     service,
-	})
-	return p
+	spec := stageSpec{name: name, parallelism: parallelism, grouping: grouping, wfn: fn, service: service}
+	return p.add(spec, fn == nil, "stage function required")
 }
 
 // AddWindowedAggregate appends a windowed-aggregate stage: executors
@@ -126,19 +134,8 @@ func (p *Pipeline) AddWeightedStage(name string, parallelism int, grouping strin
 // into finals; as a leaf stage the partials are still counted (for
 // StageResult.AggPartials) but discarded.
 func (p *Pipeline) AddWindowedAggregate(name string, parallelism int, grouping string, window int64) *Pipeline {
-	if parallelism <= 0 {
-		panic("dspe: stage parallelism must be positive")
-	}
-	if window <= 0 {
-		panic("dspe: aggregate window must be positive")
-	}
-	p.stages = append(p.stages, stageSpec{
-		name:        name,
-		parallelism: parallelism,
-		grouping:    grouping,
-		aggWindow:   window,
-	})
-	return p
+	spec := stageSpec{name: name, parallelism: parallelism, grouping: grouping, aggWindow: window}
+	return p.add(spec, window <= 0, fmt.Sprintf("aggregate window %d must be positive", window))
 }
 
 // AddWindowedMerge is AddWindowedAggregate with a pluggable merge
@@ -163,23 +160,8 @@ func (p *Pipeline) AddWindowedAggregate(name string, parallelism int, grouping s
 // behaves identically to AddWindowedAggregate (a count IS a sum of
 // ones).
 func (p *Pipeline) AddWindowedMerge(name string, parallelism int, grouping string, window int64, m aggregation.Merger) *Pipeline {
-	if parallelism <= 0 {
-		panic("dspe: stage parallelism must be positive")
-	}
-	if window <= 0 {
-		panic("dspe: aggregate window must be positive")
-	}
-	if m == nil {
-		panic("dspe: AddWindowedMerge requires a merge operator")
-	}
-	p.stages = append(p.stages, stageSpec{
-		name:        name,
-		parallelism: parallelism,
-		grouping:    grouping,
-		aggWindow:   window,
-		merger:      m,
-	})
-	return p
+	spec := stageSpec{name: name, parallelism: parallelism, grouping: grouping, aggWindow: window, merger: m}
+	return p.add(spec, window <= 0 || m == nil, fmt.Sprintf("needs a merge operator and a positive window (got %d)", window))
 }
 
 // StageResult reports one stage's outcome.
@@ -207,7 +189,8 @@ type PipelineResult struct {
 	// Elapsed is the wall-clock makespan.
 	Elapsed time.Duration
 	// P50, P95, P99 are end-to-end latency percentiles measured at the
-	// final stage (from spout emission to leaf completion).
+	// final stage (from spout emission to leaf completion), estimated
+	// from one tuple in latSampleMask+1.
 	P50, P95, P99 time.Duration
 }
 
@@ -216,40 +199,42 @@ type PipelineConfig struct {
 	// Core carries seed/θ/ε shared by all edges (Workers and Instance
 	// are filled per edge/executor).
 	Core core.Config
-	// QueueLen is the per-executor input channel capacity; 0 means 128.
-	QueueLen int
 	// Messages caps the spout's emissions; 0 means the full generator.
 	Messages int64
-	// Dataplane selects the tuple transport: DataplaneChannel (default)
-	// gives every executor one bounded MPSC channel; DataplaneRing gives
-	// every (sender, receiver) pair its own lock-free SPSC ring, with
-	// executors sweeping their per-sender rings. Stage semantics and
-	// results are identical; only the transport cost differs.
-	Dataplane Dataplane
 }
 
-// Dataplane names a Pipeline tuple transport; see PipelineConfig.Dataplane.
-type Dataplane int
-
+// An executor's rings on one edge hold about pipeEdgeTuples tuples in
+// all: an edge from U senders into P executors gets rings of
+// pipeEdgeTuples/max(U, P) slots, and never fewer than pipeMinRing. A
+// wide edge (hundreds of executors, a few tuples per ring per wake)
+// thus neither allocates nor cycles through megabytes of cold slots,
+// while a narrow one keeps deep rings. On BenchmarkPipelineShapes
+// (2-core host), a flat 128 slots left agg256 ≈15% slower and a flat
+// 16 cost chain and trending 30–35%.
 const (
-	// DataplaneChannel moves tuples over one bounded MPSC channel per
-	// executor: the default.
-	DataplaneChannel Dataplane = iota
-	// DataplaneRing moves tuples through per-(sender, receiver)
-	// lock-free SPSC rings whose slots are the tuple arena.
-	DataplaneRing
+	pipeEdgeTuples = 1024
+	pipeMinRing    = 16
 )
+
+func pipeRingCap(senders, receivers int) int {
+	return max(pipeMinRing, pipeEdgeTuples/max(senders, receivers))
+}
+
+// pipeSlab is the most tuples a task takes from one input ring per
+// poll, and the spouts' key-slab size.
+const pipeSlab = 64
 
 // pipeTuple carries the key and its KeyDigest (computed once, when the
 // spout routes the first edge, and re-derived downstream only when a
 // stage emits a DIFFERENT key), plus the root emission time for
-// latency, the root emission sequence number (windowed-aggregate stages
-// derive window ids from it), the window id, and the tuple's weight
-// (how many source tuples it stands for — partials carry their count).
+// latency (ns since the run's epoch), the root emission sequence number
+// (windowed-aggregate stages derive window ids from it), the window id,
+// and the tuple's weight (how many source tuples it stands for —
+// partials carry their count).
 type pipeTuple struct {
 	key    string
 	dig    core.KeyDigest
-	root   time.Time
+	root   int64
 	seq    int64
 	window int64
 	weight int64
@@ -257,24 +242,29 @@ type pipeTuple struct {
 
 // Run executes the pipeline to completion.
 func (p *Pipeline) Run(cfg PipelineConfig) (PipelineResult, error) {
+	if p.err != nil {
+		return PipelineResult{}, p.err
+	}
 	if len(p.stages) == 0 {
 		return PipelineResult{}, fmt.Errorf("dspe: pipeline has no stages")
 	}
-	if cfg.Dataplane == DataplaneRing {
-		return p.runRing(cfg)
-	}
-	queueLen := cfg.QueueLen
-	if queueLen <= 0 {
-		queueLen = 128
-	}
 
-	// Build channels: stage s has stages[s].parallelism executors, each
-	// with one bounded input channel.
-	inputs := make([][]chan pipeTuple, len(p.stages))
+	// edges[s][k][i] is the ring from sender k of stage s's upstream
+	// (spout k for s == 0, executor k of stage s-1 otherwise) into
+	// executor i of stage s.
+	edges := make([][][]*ring.SPSC[pipeTuple], len(p.stages))
 	for s, spec := range p.stages {
-		inputs[s] = make([]chan pipeTuple, spec.parallelism)
-		for i := range inputs[s] {
-			inputs[s][i] = make(chan pipeTuple, queueLen)
+		senders := p.spouts
+		if s > 0 {
+			senders = p.stages[s-1].parallelism
+		}
+		capacity := pipeRingCap(senders, spec.parallelism)
+		edges[s] = make([][]*ring.SPSC[pipeTuple], senders)
+		for k := range edges[s] {
+			edges[s][k] = make([]*ring.SPSC[pipeTuple], spec.parallelism)
+			for i := range edges[s][k] {
+				edges[s][k][i] = ring.New[pipeTuple](capacity)
+			}
 		}
 	}
 
@@ -287,221 +277,122 @@ func (p *Pipeline) Run(cfg PipelineConfig) (PipelineResult, error) {
 		return core.New(spec.grouping, c)
 	}
 
-	// Validate every edge's grouping before any goroutine starts (the
-	// executors assume construction succeeds).
+	// Every partitioner is built before any goroutine starts, so an
+	// unknown grouping fails the run cleanly.
+	epoch := time.Now()
+	stats := make([][]boltStats, len(p.stages))
+	tasks := make([][]*stageTask, len(p.stages))
+	service := false
 	for s := range p.stages {
-		if _, err := senderFor(s, 0); err != nil {
+		spec := &p.stages[s]
+		service = service || spec.service > 0
+		leaf := s == len(p.stages)-1
+		stats[s] = make([]boltStats, spec.parallelism)
+		tasks[s] = make([]*stageTask, spec.parallelism)
+		for ex := range tasks[s] {
+			t := &stageTask{
+				spec:      spec,
+				in:        make([]*ring.SPSC[pipeTuple], len(edges[s])),
+				drained:   make([]bool, len(edges[s])),
+				remaining: len(edges[s]),
+				st:        &stats[s][ex],
+				epoch:     epoch,
+			}
+			for k := range edges[s] {
+				t.in[k] = edges[s][k][ex]
+			}
+			if leaf {
+				t.st.lat = metrics.NewQuantiles(1 << 14)
+			} else {
+				// This executor is sender ex on edge s+1.
+				var err error
+				if t.down, err = senderFor(s+1, ex+spec.parallelism); err != nil {
+					return PipelineResult{}, err
+				}
+				t.downDig, _ = t.down.(core.DigestRouter)
+				t.out = newOutbox(edges[s+1][ex])
+			}
+			if spec.aggWindow > 0 {
+				t.acc = aggregation.NewAccumulatorMerger(ex, spec.merger)
+			}
+			t.emit = func(key string) { t.send(key, t.cur.weight) }
+			t.emitW = t.send
+			tasks[s][ex] = t
+		}
+	}
+	parts := make([]core.Partitioner, p.spouts)
+	for sp := range parts {
+		var err error
+		if parts[sp], err = senderFor(0, sp); err != nil {
 			return PipelineResult{}, err
 		}
 	}
 
-	counts := make([][]int64, len(p.stages))
-	accs := make([][]*aggregation.Accumulator, len(p.stages))
-	for s, spec := range p.stages {
-		counts[s] = make([]int64, spec.parallelism)
-		if spec.aggWindow > 0 {
-			accs[s] = make([]*aggregation.Accumulator, spec.parallelism)
-			for ex := range accs[s] {
-				accs[s][ex] = aggregation.NewAccumulatorMerger(ex, spec.merger)
-			}
+	// Stage order within each executor's list: a sweep polls upstream
+	// tasks before the downstream tasks they feed.
+	all := slices.Concat(tasks...)
+	execs := executorCount(len(all), service)
+	var executors sync.WaitGroup
+	for e := 0; e < execs; e++ {
+		var hosted []*stageTask
+		for i := e; i < len(all); i += execs {
+			hosted = append(hosted, all[i])
 		}
-	}
-	lat := metrics.NewQuantiles(1 << 15)
-	var latMu sync.Mutex
-
-	// Bolt stages, last first so downstream consumers exist before
-	// upstream producers start.
-	var stageWGs []*sync.WaitGroup
-	for range p.stages {
-		stageWGs = append(stageWGs, &sync.WaitGroup{})
-	}
-	for s := len(p.stages) - 1; s >= 0; s-- {
-		spec := p.stages[s]
-		for ex := 0; ex < spec.parallelism; ex++ {
-			stageWGs[s].Add(1)
-			go func(s, ex int) {
-				defer stageWGs[s].Done()
-				spec := p.stages[s]
-				var down core.Partitioner
-				var downDig core.DigestRouter
-				if s+1 < len(p.stages) {
-					var err error
-					down, err = senderFor(s+1, ex+spec.parallelism)
-					if err != nil {
-						panic(err) // validated before launch
-					}
-					downDig, _ = down.(core.DigestRouter)
-				}
-				// cur is the tuple being processed; its root/seq/window
-				// propagate onto emissions.
-				var cur pipeTuple
-				// send routes by the tuple's carried digest: downstream edges
-				// re-key without re-scanning unchanged key bytes.
-				send := func(tp pipeTuple) {
-					var w int
-					if downDig != nil {
-						w = downDig.RouteDigest(tp.dig, tp.key)
-					} else {
-						w = down.Route(tp.key)
-					}
-					inputs[s+1][w] <- tp
-				}
-				// reDigest maps an emitted key to its digest: the carried one
-				// when the key bytes are unchanged (the common pass-through
-				// case reduces to a pointer compare), one fresh scan when the
-				// stage emitted a genuinely new key.
-				reDigest := func(key string) core.KeyDigest {
-					if key == cur.key {
-						return cur.dig
-					}
-					return core.Digest(key)
-				}
-				emit := func(key string) {
-					if down == nil {
-						return // leaf: emissions discarded
-					}
-					// Pass-through weight: a plain stage re-emitting a partial
-					// tuple (e.g. a router between an aggregate stage and its
-					// reducer) must not collapse a count-5000 partial to 1.
-					send(pipeTuple{key: key, dig: reDigest(key), root: cur.root, seq: cur.seq, window: cur.window, weight: cur.weight})
-				}
-				emitW := func(key string, count int64) {
-					if down == nil {
-						return
-					}
-					send(pipeTuple{key: key, dig: reDigest(key), root: cur.root, seq: cur.seq, window: cur.window, weight: count})
-				}
-				var acc *aggregation.Accumulator
-				var buf []aggregation.Partial
-				if spec.aggWindow > 0 {
-					acc = accs[s][ex]
-				}
-				// flushEmit closes windows below before and forwards one
-				// weighted tuple per partial; root is the emission time of
-				// the tuple that advanced the watermark (or the last tuple,
-				// at end of input).
-				flushEmit := func(before int64, root time.Time) {
-					buf = acc.FlushBefore(before, buf[:0])
-					if down == nil {
-						return // leaf aggregate: partials counted, discarded
-					}
-					for i := range buf {
-						pp := &buf[i]
-						// The partial's weight is what the stage computed for
-						// it: the fold of its tuples' weights through the
-						// merger (== the plain count for the default
-						// aggregate stage, whose fold is a sum of weights).
-						weight := pp.Count
-						if spec.merger != nil {
-							weight = spec.merger.Result(pp.Val)
-						}
-						// The partial carries the digest its table was keyed
-						// by; the reduce edge routes on it with zero re-scans.
-						send(pipeTuple{
-							key:    pp.Key,
-							dig:    pp.Digest,
-							root:   root,
-							seq:    pp.Window * spec.aggWindow,
-							window: pp.Window,
-							weight: weight,
-						})
-					}
-				}
-				last := s == len(p.stages)-1
-				for tp := range inputs[s][ex] {
-					if spec.service > 0 {
-						time.Sleep(spec.service)
-					}
-					cur = tp
-					switch {
-					case acc != nil:
-						w := tp.seq / spec.aggWindow
-						if wm, ok := acc.Watermark(); ok && w > wm {
-							// One window of slack, as in Run: upstream executors
-							// interleave, so the previous window may still have
-							// tuples in flight.
-							flushEmit(w-1, tp.root)
-						}
-						if spec.merger != nil {
-							// Merge stage: the tuple's weight is the SAMPLE the
-							// operator folds (one observation per tuple).
-							acc.AddSample(w, tp.dig, tp.key, 1, tp.weight)
-						} else {
-							// Default aggregate stage: the weight folds into the
-							// count (a count-5000 partial stands for 5000 tuples).
-							acc.AddN(w, tp.dig, tp.key, tp.weight)
-						}
-					case spec.wfn != nil:
-						spec.wfn(tp.key, tp.window, tp.weight, emitW)
-					default:
-						spec.fn(tp.key, emit)
-					}
-					counts[s][ex]++
-					if last {
-						latMu.Lock()
-						lat.Add(float64(time.Since(tp.root)))
-						latMu.Unlock()
-					}
-				}
-				if acc != nil {
-					flushEmit(1<<62, cur.root)
-				}
-			}(s, ex)
-		}
+		executors.Add(1)
+		go func() {
+			defer executors.Done()
+			runExecutor(hosted, nil)
+		}()
 	}
 
-	// Spout stage: shared generator, one partitioner per spout for the
-	// first edge.
 	p.gen.Reset()
 	limit := p.gen.Len()
 	if cfg.Messages > 0 && cfg.Messages < limit {
 		limit = cfg.Messages
 	}
-	// Spouts draw key slabs (one generator lock per slab) and route each
-	// slab with one RouteBatch call on the first edge; tuples still flow
-	// per message so downstream grouping semantics are unchanged.
-	const spoutBatch = 64
 	nextSlab, drawn := slabSource(p.gen, limit)
 
 	start := time.Now()
-	var spoutWG sync.WaitGroup
-	for sp := 0; sp < p.spouts; sp++ {
-		part, err := senderFor(0, sp)
-		if err != nil {
-			return PipelineResult{}, err
-		}
-		spoutWG.Add(1)
-		go func(part core.Partitioner) {
-			defer spoutWG.Done()
-			keys := make([]string, spoutBatch)
-			digs := make([]core.KeyDigest, spoutBatch)
-			dsts := make([]int, spoutBatch)
+	var spouts sync.WaitGroup
+	for sp, part := range parts {
+		spouts.Add(1)
+		go func() {
+			defer spouts.Done()
+			out := newOutbox(edges[0][sp])
+			keys := make([]string, pipeSlab)
+			digs := make([]core.KeyDigest, pipeSlab)
+			dsts := make([]int, pipeSlab)
 			for {
 				n, base := nextSlab(keys, nil)
 				if n == 0 {
-					return
+					break
 				}
 				// Hash-once: the digests routing computes here travel with
 				// the tuples through every later stage.
 				core.RouteBatchDigests(part, keys[:n], digs, dsts)
+				root := int64(time.Since(epoch))
 				for i := 0; i < n; i++ {
-					inputs[0][dsts[i]] <- pipeTuple{key: keys[i], dig: digs[i], root: time.Now(), seq: base + int64(i), weight: 1}
+					out.add(dsts[i], pipeTuple{key: keys[i], dig: digs[i], root: root, seq: base + int64(i), weight: 1})
+				}
+				// A spout hosts no consumer, so it may back off until
+				// the whole slab is published.
+				for spins := 0; !out.empty(); {
+					if out.publish() {
+						spins = 0
+					} else {
+						backoff(&spins)
+					}
 				}
 			}
-		}(part)
+			out.close()
+		}()
 	}
 
-	// Drain stage by stage: once all senders of a stage are done, close
-	// its executors' inputs; their exit unblocks the next stage's close.
-	spoutWG.Wait()
-	for s := range p.stages {
-		for _, ch := range inputs[s] {
-			close(ch)
-		}
-		stageWGs[s].Wait()
-	}
+	spouts.Wait()
+	executors.Wait()
 	elapsed := time.Since(start)
 
+	lat := poolLatency(stats[len(p.stages)-1])
 	res := PipelineResult{
 		Emitted: drawn(),
 		Elapsed: elapsed,
@@ -510,17 +401,249 @@ func (p *Pipeline) Run(cfg PipelineConfig) (PipelineResult, error) {
 		P99:     time.Duration(lat.Quantile(0.99)),
 	}
 	for s, spec := range p.stages {
-		sr := StageResult{Name: spec.name, Loads: counts[s]}
-		for _, c := range counts[s] {
-			sr.Processed += c
+		sr := StageResult{Name: spec.name, Loads: make([]int64, spec.parallelism)}
+		for ex, t := range tasks[s] {
+			sr.Loads[ex] = t.st.count
+			sr.Processed += t.st.count
+			if t.acc != nil {
+				sr.AggPartials += t.acc.Flushed()
+				sr.AggWindows += t.acc.Closed()
+			}
 		}
-		sr.Imbalance = metrics.Imbalance(counts[s])
-		for _, acc := range accs[s] {
-			sr.AggPartials += acc.Flushed()
-			sr.AggWindows += acc.Closed()
-		}
+		sr.Imbalance = metrics.Imbalance(sr.Loads)
 		res.Stages = append(res.Stages, sr)
 	}
 	p.gen.Reset()
 	return res, nil
+}
+
+// outbox stages one sender's tuples per destination ring and publishes
+// them in slabs with Grant/Publish; whatever a full ring refuses stays
+// staged for the next publish.
+type outbox struct {
+	rings []*ring.SPSC[pipeTuple]
+	pend  [][]pipeTuple // per destination
+	dirty []int         // destinations with staged tuples
+}
+
+func newOutbox(rings []*ring.SPSC[pipeTuple]) *outbox {
+	return &outbox{rings: rings, pend: make([][]pipeTuple, len(rings))}
+}
+
+func (o *outbox) add(w int, tp pipeTuple) {
+	if len(o.pend[w]) == 0 {
+		o.dirty = append(o.dirty, w)
+	}
+	o.pend[w] = append(o.pend[w], tp)
+}
+
+func (o *outbox) empty() bool { return len(o.dirty) == 0 }
+
+// publish moves as many staged tuples into their rings as fit, without
+// blocking, and reports whether any moved.
+func (o *outbox) publish() (moved bool) {
+	live := o.dirty[:0]
+	for _, w := range o.dirty {
+		q, p := o.rings[w], o.pend[w]
+		for len(p) > 0 {
+			g := q.Grant(len(p))
+			if g == nil {
+				break
+			}
+			n := copy(g, p)
+			q.Publish(n)
+			p = p[n:]
+			moved = true
+		}
+		o.pend[w] = append(o.pend[w][:0], p...)
+		if len(p) > 0 {
+			live = append(live, w)
+		}
+	}
+	o.dirty = live
+	return moved
+}
+
+func (o *outbox) close() {
+	for _, q := range o.rings {
+		q.Close()
+	}
+}
+
+// stageTask is one stage executor run as a task on an executor
+// goroutine: its input rings (one per upstream sender), its outbox into
+// the next stage (nil at the leaf, whose emissions are discarded), and
+// the state its polls carry.
+type stageTask struct {
+	spec      *stageSpec
+	in        []*ring.SPSC[pipeTuple]
+	drained   []bool // per input: closed and empty
+	remaining int    // inputs not yet drained
+	out       *outbox
+	down      core.Partitioner
+	downDig   core.DigestRouter
+	acc       *aggregation.Accumulator // windowed stages only
+	scratch   []aggregation.Partial
+	finished  bool      // final window flush staged
+	cur       pipeTuple // the tuple being processed; emissions inherit its root, seq and window
+	emit      func(key string)
+	emitW     func(key string, weight int64)
+	st        *boltStats
+	epoch     time.Time // origin of pipeTuple.root
+}
+
+// poll advances the task without blocking. It first publishes any
+// staged emissions and takes no new input while some stay staged; it
+// then sweeps its input rings one slab each. Once every input has
+// drained it flushes its last windows and, with the outbox empty,
+// closes its output rings and reports done.
+func (t *stageTask) poll() (progressed, done bool) {
+	if t.blocked(&progressed) {
+		return progressed, false
+	}
+	for k, q := range t.in {
+		if t.drained[k] {
+			continue
+		}
+		a := q.Acquire(pipeSlab)
+		if a == nil {
+			if q.Drained() {
+				t.drained[k] = true
+				t.remaining--
+				progressed = true
+			}
+			continue
+		}
+		for i := range a {
+			t.process(&a[i])
+		}
+		q.Release(len(a))
+		progressed = true
+		if t.blocked(&progressed) {
+			return progressed, false
+		}
+	}
+	if t.remaining > 0 {
+		return progressed, false
+	}
+	if t.acc != nil && !t.finished {
+		t.finished = true
+		t.flushWindows(1<<62, t.cur.root)
+		progressed = true
+		if t.blocked(&progressed) {
+			return progressed, false
+		}
+	}
+	if t.out != nil {
+		t.out.close()
+	}
+	return true, true
+}
+
+// blocked publishes the outbox and reports whether tuples remain
+// staged; a publish that moved any sets *progressed.
+func (t *stageTask) blocked(progressed *bool) bool {
+	if t.out == nil || t.out.empty() {
+		return false
+	}
+	if t.out.publish() {
+		*progressed = true
+	}
+	return !t.out.empty()
+}
+
+func (t *stageTask) process(tp *pipeTuple) {
+	spec := t.spec
+	if spec.service > 0 {
+		time.Sleep(spec.service)
+	}
+	t.cur = *tp
+	switch {
+	case t.acc != nil:
+		w := tp.seq / spec.aggWindow
+		if wm, ok := t.acc.Watermark(); ok && w > wm {
+			// One window of slack, as in Run: upstream executors
+			// interleave, so the previous window may still have tuples
+			// in flight.
+			t.flushWindows(w-1, tp.root)
+		}
+		if spec.merger != nil {
+			// Merge stage: the tuple's weight is the SAMPLE the operator
+			// folds (one observation per tuple).
+			t.acc.AddSample(w, tp.dig, tp.key, 1, tp.weight)
+		} else {
+			// Default aggregate stage: the weight folds into the count
+			// (a count-5000 partial stands for 5000 tuples).
+			t.acc.AddN(w, tp.dig, tp.key, tp.weight)
+		}
+	case spec.wfn != nil:
+		spec.wfn(tp.key, tp.window, tp.weight, t.emitW)
+	default:
+		// Pass-through weight: a plain stage re-emitting a partial tuple
+		// (e.g. a router between an aggregate stage and its reducer)
+		// must not collapse a count-5000 partial to 1.
+		spec.fn(tp.key, t.emit)
+	}
+	if t.out == nil && t.st.count&latSampleMask == 0 {
+		t.st.lat.Add(float64(time.Since(t.epoch) - time.Duration(tp.root)))
+	}
+	t.st.count++
+}
+
+// send stages one emission of the current tuple. Its digest is the
+// carried one when the key bytes are unchanged (the common pass-through
+// case reduces to a pointer compare), one fresh scan when the stage
+// emitted a genuinely new key.
+func (t *stageTask) send(key string, weight int64) {
+	if t.out == nil {
+		return // leaf: emissions discarded
+	}
+	dig := t.cur.dig
+	if key != t.cur.key {
+		dig = core.Digest(key)
+	}
+	t.stage(pipeTuple{key: key, dig: dig, root: t.cur.root, seq: t.cur.seq, window: t.cur.window, weight: weight})
+}
+
+// stage routes tp by its carried digest into the outbox.
+func (t *stageTask) stage(tp pipeTuple) {
+	var w int
+	if t.downDig != nil {
+		w = t.downDig.RouteDigest(tp.dig, tp.key)
+	} else {
+		w = t.down.Route(tp.key)
+	}
+	t.out.add(w, tp)
+}
+
+// flushWindows closes windows below before and stages one weighted
+// tuple per partial; root is the emission time of the tuple that
+// advanced the watermark (or of the last tuple, at end of input).
+func (t *stageTask) flushWindows(before, root int64) {
+	t.scratch = t.acc.FlushBefore(before, t.scratch[:0])
+	if t.out == nil {
+		return // leaf aggregate: partials counted, discarded
+	}
+	spec := t.spec
+	for i := range t.scratch {
+		pp := &t.scratch[i]
+		// The partial's weight is what the stage computed for it: the
+		// fold of its tuples' weights through the merger (== the plain
+		// count for the default aggregate stage, whose fold is a sum of
+		// weights).
+		weight := pp.Count
+		if spec.merger != nil {
+			weight = spec.merger.Result(pp.Val)
+		}
+		// The partial carries the digest its table was keyed by; the
+		// reduce edge routes on it with zero re-scans.
+		t.stage(pipeTuple{
+			key:    pp.Key,
+			dig:    pp.Digest,
+			root:   root,
+			seq:    pp.Window * spec.aggWindow,
+			window: pp.Window,
+			weight: weight,
+		})
+	}
 }

@@ -1,17 +1,20 @@
 package dspe
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"slb/internal/aggregation"
 	"slb/internal/core"
+	"slb/internal/ring"
 )
 
 func pipeCfg() PipelineConfig {
-	return PipelineConfig{Core: core.Config{Seed: 5}, QueueLen: 32}
+	return PipelineConfig{Core: core.Config{Seed: 5}}
 }
 
 func TestPipelineValidation(t *testing.T) {
@@ -23,19 +26,24 @@ func TestPipelineValidation(t *testing.T) {
 	if _, err := p.Run(pipeCfg()); err == nil {
 		t.Error("unknown grouping accepted")
 	}
-	for _, f := range []func(){
-		func() { NewPipeline(gen, 0) },
-		func() { NewPipeline(gen, 1).AddStage("x", 0, "SG", 0, func(string, func(string)) {}) },
-		func() { NewPipeline(gen, 1).AddStage("x", 1, "SG", 0, nil) },
+	noop := func(string, func(string)) {}
+	noopW := func(string, int64, int64, func(string, int64)) {}
+	for name, p := range map[string]*Pipeline{
+		"no spouts":             NewPipeline(gen, 0).AddStage("x", 1, "SG", 0, noop),
+		"stage parallelism":     NewPipeline(gen, 1).AddStage("x", 0, "SG", 0, noop),
+		"nil stage fn":          NewPipeline(gen, 1).AddStage("x", 1, "SG", 0, nil),
+		"weighted parallelism":  NewPipeline(gen, 1).AddWeightedStage("x", -1, "SG", 0, noopW),
+		"nil weighted fn":       NewPipeline(gen, 1).AddWeightedStage("x", 1, "SG", 0, nil),
+		"aggregate parallelism": NewPipeline(gen, 1).AddWindowedAggregate("x", 0, "SG", 10),
+		"aggregate window":      NewPipeline(gen, 1).AddWindowedAggregate("x", 1, "SG", 0),
+		"merge window":          NewPipeline(gen, 1).AddWindowedMerge("x", 1, "SG", -5, aggregation.SumMerger),
+		"nil merger":            NewPipeline(gen, 1).AddWindowedMerge("x", 1, "SG", 10, nil),
+		// A valid stage after an invalid one does not clear the error.
+		"error kept": NewPipeline(gen, 1).AddStage("x", 0, "SG", 0, noop).AddStage("y", 1, "SG", 0, noop),
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
+		if _, err := p.Run(pipeCfg()); err == nil {
+			t.Errorf("%s: Run accepted an invalid pipeline", name)
+		}
 	}
 }
 
@@ -282,60 +290,134 @@ func TestPipelinePlainStagePreservesWeight(t *testing.T) {
 	}
 }
 
-// TestPipelineRingDataplaneParity runs the same two-phase aggregation
-// pipeline (windowed aggregate → KG reduce) on both dataplanes and
-// checks the reduced per-(window, key) counts against the stream's
-// ground truth — and therefore against each other — exactly.
-func TestPipelineRingDataplaneParity(t *testing.T) {
+// TestPipelineGroundTruthManyTasks runs a two-phase aggregation
+// (windowed aggregate → KG reduce) whose executors far outnumber the
+// executor goroutines, so most of them share one, and checks the
+// reduced per-(window, key) counts against the stream's ground truth
+// exactly.
+func TestPipelineGroundTruthManyTasks(t *testing.T) {
 	const (
 		m          = 10_000
 		windowSize = 1_000
 	)
 	truth := aggGroundTruth(zipfGen(1.5, 200, m), windowSize)
 
-	for _, dp := range []Dataplane{DataplaneChannel, DataplaneRing} {
-		name := "channel"
-		if dp == DataplaneRing {
-			name = "ring"
+	var mu sync.Mutex
+	got := make(map[int64]map[string]int64)
+	p := NewPipeline(zipfGen(1.5, 200, m), 2).
+		AddWindowedAggregate("partial", 64, "D-C", windowSize).
+		AddWeightedStage("reduce", 8, "KG", 0, func(key string, window, count int64, _ func(string, int64)) {
+			mu.Lock()
+			mm := got[window]
+			if mm == nil {
+				mm = make(map[string]int64)
+				got[window] = mm
+			}
+			mm[key] += count
+			mu.Unlock()
+		})
+	res, err := p.Run(pipeCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Emitted != m {
+		t.Fatalf("emitted %d of %d", res.Emitted, m)
+	}
+	if len(got) != len(truth) {
+		t.Fatalf("got %d windows, want %d", len(got), len(truth))
+	}
+	for w, wantKeys := range truth {
+		if len(got[w]) != len(wantKeys) {
+			t.Fatalf("window %d: got %d keys, want %d", w, len(got[w]), len(wantKeys))
 		}
-		t.Run(name, func(t *testing.T) {
-			var mu sync.Mutex
-			got := make(map[int64]map[string]int64)
-			p := NewPipeline(zipfGen(1.5, 200, m), 2).
-				AddWindowedAggregate("partial", 4, "D-C", windowSize).
-				AddWeightedStage("reduce", 2, "KG", 0, func(key string, window, count int64, _ func(string, int64)) {
-					mu.Lock()
-					mm := got[window]
-					if mm == nil {
-						mm = make(map[string]int64)
-						got[window] = mm
-					}
-					mm[key] += count
-					mu.Unlock()
-				})
-			res, err := p.Run(PipelineConfig{Core: core.Config{Seed: 5}, QueueLen: 32, Dataplane: dp})
-			if err != nil {
-				t.Fatal(err)
+		for k, want := range wantKeys {
+			if got[w][k] != want {
+				t.Fatalf("window %d key %q: got %d, want %d", w, k, got[w][k], want)
 			}
-			if res.Emitted != m {
-				t.Fatalf("emitted %d of %d", res.Emitted, m)
-			}
-			if len(got) != len(truth) {
-				t.Fatalf("got %d windows, want %d", len(got), len(truth))
-			}
-			for w, wantKeys := range truth {
-				if len(got[w]) != len(wantKeys) {
-					t.Fatalf("window %d: got %d keys, want %d", w, len(got[w]), len(wantKeys))
+		}
+	}
+	if res.Stages[1].Processed != res.Stages[0].AggPartials {
+		t.Fatalf("reduce processed %d, aggregate emitted %d", res.Stages[1].Processed, res.Stages[0].AggPartials)
+	}
+}
+
+// TestPipelineExecutorGoroutines pins the task model: a 256-way
+// windowed aggregate feeding a KG reduce runs its 260 executors on at
+// most GOMAXPROCS goroutines (plus the spouts), not one goroutine per
+// executor.
+func TestPipelineExecutorGoroutines(t *testing.T) {
+	const (
+		m      = 40_000
+		spouts = 2
+		slack  = 4
+	)
+	var peak atomic.Int64
+	var reduced atomic.Int64
+	p := NewPipeline(zipfGen(2.0, 10_000, m), spouts).
+		AddWindowedAggregate("partial", 256, "D-C", 1_000).
+		AddWeightedStage("reduce", 4, "KG", 0, func(_ string, _, count int64, _ func(string, int64)) {
+			reduced.Add(count)
+			n := int64(runtime.NumGoroutine())
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
 				}
-				for k, want := range wantKeys {
-					if got[w][k] != want {
-						t.Fatalf("window %d key %q: got %d, want %d", w, k, got[w][k], want)
-					}
-				}
-			}
-			if res.Stages[1].Processed != res.Stages[0].AggPartials {
-				t.Fatalf("reduce processed %d, aggregate emitted %d", res.Stages[1].Processed, res.Stages[0].AggPartials)
 			}
 		})
+	before := runtime.NumGoroutine()
+	if _, err := p.Run(pipeCfg()); err != nil {
+		t.Fatal(err)
+	}
+	if reduced.Load() != m {
+		t.Fatalf("reduced %d, want %d", reduced.Load(), m)
+	}
+	limit := before + runtime.GOMAXPROCS(0) + spouts + slack
+	if got := int(peak.Load()); got == 0 || got > limit {
+		t.Fatalf("peak goroutines %d, want in (0, %d] (%d before the run)", got, limit, before)
+	}
+}
+
+// TestPipelineFanOutBeyondRingCapacity: each tuple fans out into more
+// tuples than a ring holds, and every executor goroutine hosts both
+// fan-out producers and their KG consumers. A producer whose ring is
+// full must park its emissions in its outbox and yield rather than
+// block its executor, or the co-hosted consumer would never drain the
+// ring; the run must finish with exact counts.
+func TestPipelineFanOutBeyondRingCapacity(t *testing.T) {
+	const m = 1_000
+	par := runtime.GOMAXPROCS(0) + 1 // total executors exceed GOMAXPROCS
+	fan := 2*ring.New[pipeTuple](pipeRingCap(par, par)).Cap() + 1
+	var counted atomic.Int64
+	p := NewPipeline(zipfGen(1.2, 100, m), 2).
+		AddStage("fan", par, "SG", 0, func(key string, emit func(string)) {
+			for i := 0; i < fan; i++ {
+				emit(key)
+			}
+		}).
+		AddStage("count", par, "KG", 0, func(string, func(string)) { counted.Add(1) })
+	type outcome struct {
+		res PipelineResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := p.Run(pipeCfg())
+		done <- outcome{res, err}
+	}()
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("pipeline did not finish: a co-hosted producer blocked its consumer")
+	}
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if want := int64(m * fan); counted.Load() != want || out.res.Stages[1].Processed != want {
+		t.Fatalf("counted %d, stage processed %d, want %d", counted.Load(), out.res.Stages[1].Processed, want)
+	}
+	if out.res.Stages[0].Processed != m {
+		t.Fatalf("fan stage processed %d, want %d", out.res.Stages[0].Processed, m)
 	}
 }

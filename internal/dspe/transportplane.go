@@ -289,7 +289,17 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 		}
 		bolts[w] = b
 	}
-	execs := executorCount(cfg)
+	var idle func([]*bolt, time.Duration)
+	if pt != nil {
+		// Input starvation (acquire_stall_ns_total) is charged to every
+		// bolt still live on an executor that backed off.
+		idle = func(live []*bolt, d time.Duration) {
+			for _, b := range live {
+				pt.addAcquireStall(b.w, d)
+			}
+		}
+	}
+	execs := executorCount(cfg.Workers, cfg.ServiceTime > 0)
 	var executors sync.WaitGroup
 	for e := 0; e < execs; e++ {
 		hosted := make([]*bolt, 0, (cfg.Workers+execs-1)/execs)
@@ -299,7 +309,7 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 		executors.Add(1)
 		go func() {
 			defer executors.Done()
-			runExecutor(hosted, pt)
+			runExecutor(hosted, idle)
 		}()
 	}
 
@@ -580,33 +590,38 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 	return res, nil
 }
 
-// executorCount is how many executor goroutines host cfg's bolts: one
-// per processor, or one per bolt under a simulated service time (see
-// the file header).
-func executorCount(cfg Config) int {
-	if cfg.ServiceTime > 0 {
-		return cfg.Workers
+// executorCount is how many executor goroutines host n tasks (Run's
+// bolts or Pipeline's stage executors): one per processor, or one per
+// task when they simulate a service time (see the file header).
+func executorCount(n int, service bool) int {
+	if service {
+		return n
 	}
-	return min(cfg.Workers, runtime.GOMAXPROCS(0))
+	return min(n, runtime.GOMAXPROCS(0))
 }
 
-// runExecutor runs one executor goroutine: it sweeps its hosted bolts
+// task is what an executor goroutine hosts. poll advances it without
+// blocking and reports whether it made progress and whether it is done.
+type task interface {
+	poll() (progressed, done bool)
+}
+
+// runExecutor runs one executor goroutine: it sweeps its hosted tasks
 // round-robin, polling each once per sweep, until every one is done.
-// It backs off only after a sweep in which none of them made progress,
-// and charges that idle time to every bolt still live on it as input
-// starvation (acquire_stall_ns_total).
-func runExecutor(hosted []*bolt, pt *planeTelemetry) {
+// It backs off only after a sweep in which none of them made progress;
+// idle, when non-nil, is told how long and which tasks were still live.
+func runExecutor[T task](hosted []T, idle func(live []T, d time.Duration)) {
 	spins := 0
 	for len(hosted) > 0 {
 		progressed := false
 		live := hosted[:0]
-		for _, b := range hosted {
-			p, done := b.poll()
+		for _, t := range hosted {
+			p, done := t.poll()
 			if p {
 				progressed = true
 			}
 			if !done {
-				live = append(live, b)
+				live = append(live, t)
 			}
 		}
 		hosted = live
@@ -614,16 +629,13 @@ func runExecutor(hosted []*bolt, pt *planeTelemetry) {
 			spins = 0
 			continue
 		}
-		if pt == nil {
+		if idle == nil {
 			backoff(&spins)
 			continue
 		}
 		t0 := time.Now()
 		backoff(&spins)
-		idle := time.Since(t0)
-		for _, b := range hosted {
-			pt.addAcquireStall(b.w, idle)
-		}
+		idle(hosted, time.Since(t0))
 	}
 }
 

@@ -436,7 +436,7 @@ func TestExecutorCount(t *testing.T) {
 		{256, 5 * time.Microsecond, 256},
 		{3, time.Millisecond, 3},
 	} {
-		if got := executorCount(Config{Workers: tc.workers, ServiceTime: tc.svc}); got != tc.want {
+		if got := executorCount(tc.workers, tc.svc > 0); got != tc.want {
 			t.Errorf("executorCount(Workers=%d, ServiceTime=%v) = %d, want %d", tc.workers, tc.svc, got, tc.want)
 		}
 	}

@@ -236,21 +236,15 @@
 // algorithm under chaos, and the per-algorithm delay and outage
 // sensitivity.
 //
-// # Pipeline dataplanes
+// # Pipeline execution
 //
-// Pipeline, the multi-stage topology builder, keeps two in-process
-// tuple transports of its own, selected by PipelineConfig.Dataplane:
-//
-//   - DataplaneChannel (the default): bounded Go channels, one shared
-//     MPSC inbox per executor, tuples moving in per-batch slabs.
-//   - DataplaneRing: every (sender, receiver) edge gets its own SPSC
-//     ring whose slots are the tuple arena, each executor sweeping its
-//     per-sender rings.
-//
-// Stage semantics and results are identical on both, and neither wins
-// on every shape: the ring plane is faster on chains that start with a
-// plain stage, the channel plane when the first stage is the windowed
-// aggregate. Pipelines do not run on internal/transport links.
+// Pipeline, the multi-stage topology builder, runs in-process on the
+// same task model as the goroutine runtime: every stage edge is one
+// SPSC ring per (sender, receiver) executor pair, and the stage
+// executors are tasks swept by min(executors, GOMAXPROCS) goroutines
+// (one goroutine per executor when a stage has a service time). Each
+// spout publishes per-destination slabs and reads the clock once per
+// slab. Pipelines do not run on internal/transport links.
 //
 // # Telemetry
 //
@@ -558,20 +552,6 @@ func SimulateCluster(gen Generator, cfg ClusterConfig) (ClusterResult, error) {
 // links, ack-based windows, wall-clock measurement).
 type EngineConfig = dspe.Config
 
-// Dataplane selects how a Pipeline moves tuples between its stages
-// (PipelineConfig.Dataplane). Both planes execute the same stages and
-// produce identical results.
-type Dataplane = dspe.Dataplane
-
-// Pipeline dataplanes. DataplaneChannel — the default — uses bounded Go
-// channels (one shared MPSC inbox per executor). DataplaneRing gives
-// every (sender, receiver) edge its own lock-free SPSC ring buffer
-// whose slots double as the tuple arena.
-const (
-	DataplaneChannel = dspe.DataplaneChannel
-	DataplaneRing    = dspe.DataplaneRing
-)
-
 // Transport selects the backend of the goroutine runtime's links
 // (EngineConfig.Transport): in-process SPSC rings (TransportMemory,
 // the default) or loopback TCP with columnar framing and write
@@ -601,11 +581,13 @@ func RunTopology(gen Generator, cfg EngineConfig) (EngineResult, error) {
 type Pipeline = dspe.Pipeline
 
 // StageFunc processes one tuple at a bolt stage and may emit keyed
-// tuples downstream.
+// tuples downstream. Executors share goroutines, so it must not block
+// waiting on another executor of the same pipeline.
 type StageFunc = dspe.StageFunc
 
 // WeightedStageFunc is the reduce-stage form: it sees each tuple's
 // window id and weight (a partial count) and emits weighted tuples.
+// Like StageFunc, it must not block on another executor.
 type WeightedStageFunc = dspe.WeightedStageFunc
 
 // PipelineConfig carries engine-level options for a Pipeline run.
@@ -616,7 +598,8 @@ type PipelineConfig = dspe.PipelineConfig
 type PipelineResult = dspe.PipelineResult
 
 // NewPipeline starts a pipeline definition from a spout stage reading
-// gen with the given parallelism.
+// gen with the given parallelism. An invalid argument here or in a
+// stage builder makes Pipeline.Run return an error.
 func NewPipeline(gen Generator, spouts int) *Pipeline { return dspe.NewPipeline(gen, spouts) }
 
 // ---------------------------------------------------------------------------
