@@ -341,6 +341,66 @@ func TestPipelineGroundTruthManyTasks(t *testing.T) {
 	}
 }
 
+// TestPipelineRingDataplaneParity runs the same two-phase aggregation
+// pipeline (windowed aggregate → KG reduce) in both ways the dataplane
+// hosts its executors and checks the reduced per-(window, key) counts
+// against the stream's ground truth — and therefore against each
+// other — exactly. "channel" gives every executor its own goroutine
+// (a stage with a service time does, as the channel plane did);
+// "ring" shares min(executors, GOMAXPROCS) goroutines among them.
+func TestPipelineRingDataplaneParity(t *testing.T) {
+	const (
+		m          = 10_000
+		windowSize = 1_000
+	)
+	truth := aggGroundTruth(zipfGen(1.5, 200, m), windowSize)
+
+	for _, mode := range []struct {
+		name    string
+		service time.Duration
+	}{{"channel", time.Microsecond}, {"ring", 0}} {
+		t.Run(mode.name, func(t *testing.T) {
+			var mu sync.Mutex
+			got := make(map[int64]map[string]int64)
+			p := NewPipeline(zipfGen(1.5, 200, m), 2).
+				AddWindowedAggregate("partial", 4, "D-C", windowSize).
+				AddWeightedStage("reduce", 2, "KG", mode.service, func(key string, window, count int64, _ func(string, int64)) {
+					mu.Lock()
+					mm := got[window]
+					if mm == nil {
+						mm = make(map[string]int64)
+						got[window] = mm
+					}
+					mm[key] += count
+					mu.Unlock()
+				})
+			res, err := p.Run(pipeCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Emitted != m {
+				t.Fatalf("emitted %d of %d", res.Emitted, m)
+			}
+			if len(got) != len(truth) {
+				t.Fatalf("got %d windows, want %d", len(got), len(truth))
+			}
+			for w, wantKeys := range truth {
+				if len(got[w]) != len(wantKeys) {
+					t.Fatalf("window %d: got %d keys, want %d", w, len(got[w]), len(wantKeys))
+				}
+				for k, want := range wantKeys {
+					if got[w][k] != want {
+						t.Fatalf("window %d key %q: got %d, want %d", w, k, got[w][k], want)
+					}
+				}
+			}
+			if res.Stages[1].Processed != res.Stages[0].AggPartials {
+				t.Fatalf("reduce processed %d, aggregate emitted %d", res.Stages[1].Processed, res.Stages[0].AggPartials)
+			}
+		})
+	}
+}
+
 // TestPipelineExecutorGoroutines pins the task model: a 256-way
 // windowed aggregate feeding a KG reduce runs its 260 executors on at
 // most GOMAXPROCS goroutines (plus the spouts), not one goroutine per
